@@ -44,6 +44,7 @@ from .solvers import (
     BudgetExceeded,
     CapExceeded,
     DEFAULT_BUDGET,
+    InternalError,
     PropagationResult,
     SolveOutcome,
     SolverStats,

@@ -1,8 +1,9 @@
 """Command-line interface: analyze, solve, verify, gen, and brute subcommands.
 
 Exit codes: 0 success, 1 negative answer under --status-exit, 2 input or
-usage error, 3 work budget or size cap exceeded. The environment variable
-IDOM_BUDGET overrides the solver step budget.
+usage error, 3 work budget or size cap exceeded, 4 internal error (an
+unexpected exception; never a verdict). The environment variable IDOM_BUDGET
+overrides the solver step budget.
 """
 
 from __future__ import annotations
@@ -48,17 +49,13 @@ from .solvers import (
     solve_exact,
     solve_strong_by_layers,
 )
-from .structure import (
-    condensation,
-    is_strongly_connected,
-    layer_decomposition,
-    period,
-)
+from .structure import _analyze
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _budget() -> int | None:
@@ -92,17 +89,17 @@ def _emit_json(doc: dict) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     graph = _load(args.file)
-    h = period(graph)
-    cond = condensation(graph)
+    analysis = _analyze(graph)
+    h = analysis.period
+    cond = analysis.condensation
     doc: dict = {"period": h, "sccs": cond.dag.n}
     lines = [
         f"period={h}",
         f"sccs={cond.dag.n}",
         "source_sccs=[" + ",".join(map(str, cond.source_components())) + "]",
     ]
-    if graph.n >= 2 and is_strongly_connected(graph):
-        layers = layer_decomposition(graph)
-        sizes = [len(layer) for layer in layers.layers]
+    if graph.n >= 2 and analysis.strong:
+        sizes = [len(layer) for layer in analysis.layers[0]]
         doc["layers"] = sizes
         lines.append("layers=[" + ",".join(map(str, sizes)) + "]")
     if args.json:
@@ -335,6 +332,9 @@ def main(argv: list[str] | None = None) -> int:
     except (BudgetExceeded, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except Exception as exc:  # a bug: report it without claiming a verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -11,22 +11,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import count
+from typing import Iterable, Iterator, Sequence
 
 from .digraph import Digraph, induced_subgraph, is_ids
-from .structure import (
-    LayerDecomposition,
-    condensation,
-    is_strongly_connected,
-    layer_decomposition,
-    period,
-    scc_period,
-)
+from .structure import LayerDecomposition, _analyze, _Analysis, _period_layers, _tarjan
 
 __all__ = [
     "BudgetExceeded",
     "CapExceeded",
     "DEFAULT_BUDGET",
+    "InternalError",
     "PropagationResult",
     "SolveOutcome",
     "SolverStats",
@@ -55,6 +50,10 @@ class BudgetExceeded(RuntimeError):
 
 class CapExceeded(RuntimeError):
     """The instance is larger than an exhaustive oracle's size guard."""
+
+
+class InternalError(RuntimeError):
+    """A solver's own result failed its verification: a bug, never an answer."""
 
 
 @dataclass
@@ -114,18 +113,84 @@ def _set_of(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def _check_ids(graph: Digraph, members: Iterable[int], what: str) -> None:
+    """Verify a set a solver is about to return; unlike ``assert``, this
+    check also runs under ``python -O``."""
+    if not is_ids(graph, members).ids:
+        raise InternalError(f"{what} produced an invalid set")
+
+
 def _finish_found(
-    graph: Digraph, members: frozenset[int], method: str, search: _Search, t0: float
+    graph: Digraph, members: Iterable[int], method: str, stats: SolverStats, t0: float
 ) -> SolveOutcome:
-    search.stats.elapsed = time.perf_counter() - t0
-    report = is_ids(graph, members)
-    assert report.ids, f"internal error: method {method!r} produced an invalid set"
-    return SolveOutcome("found", frozenset(members), method, search.stats)
+    stats.elapsed = time.perf_counter() - t0
+    members = frozenset(members)
+    _check_ids(graph, members, f"method {method!r}")
+    return SolveOutcome("found", members, method, stats)
 
 
-def _finish_none(method: str, search: _Search, t0: float) -> SolveOutcome:
-    search.stats.elapsed = time.perf_counter() - t0
-    return SolveOutcome("none", None, method, search.stats)
+def _finish_none(method: str, stats: SolverStats, t0: float) -> SolveOutcome:
+    stats.elapsed = time.perf_counter() - t0
+    return SolveOutcome("none", None, method, stats)
+
+
+def _take(
+    out_adj: tuple[tuple[int, ...], ...],
+    alive: bytearray,
+    indeg: list[int],
+    worklist: list[int],
+    trail: list[int],
+) -> list[int]:
+    """Take the worklist's vertices, deleting each with its out-neighbors,
+    and keep taking every vertex the deletions leave without an alive
+    in-neighbor: the source closure, as a queue of in-degree counters
+    (Kahn 1962), O(vertices deleted + their out-arcs).
+
+    ``indeg[v]`` counts the alive in-neighbors of ``v``; deleted vertices are
+    appended to ``trail`` so :func:`_restore` can undo them. A source can
+    only dominate itself, so it is in every independent dominating set, and
+    the result does not depend on the order in which sources are taken.
+    Returns the vertices taken.
+    """
+    taken = []
+    while worklist:
+        s = worklist.pop()
+        if not alive[s]:  # deleted as an out-neighbor after it was queued
+            continue
+        taken.append(s)
+        for t in (s, *out_adj[s]):
+            if alive[t]:
+                alive[t] = 0
+                trail.append(t)
+                for x in out_adj[t]:
+                    indeg[x] -= 1
+                    if not indeg[x] and alive[x]:
+                        worklist.append(x)
+    return taken
+
+
+def _restore(
+    out_adj: tuple[tuple[int, ...], ...],
+    alive: bytearray,
+    indeg: list[int],
+    trail: list[int],
+    mark: int,
+) -> None:
+    """Undo the deletions recorded in ``trail`` after position ``mark``."""
+    while len(trail) > mark:
+        t = trail.pop()
+        alive[t] = 1
+        for x in out_adj[t]:
+            indeg[x] += 1
+
+
+def _source_closure(graph: Digraph) -> tuple[list[int], bytearray, list[int], list[int]]:
+    """The source closure of the whole graph: (taken, alive, indeg, trail)."""
+    alive = bytearray(b"\x01") * graph.n
+    indeg = [len(us) for us in graph.in_adj]
+    trail: list[int] = []
+    sources = [v for v in range(graph.n) if not indeg[v]]
+    return _take(graph.out_adj, alive, indeg, sources, trail), alive, indeg, trail
 
 
 def forced_sources_closure(graph: Digraph) -> tuple[frozenset[int], Digraph, tuple[int, ...]]:
@@ -134,56 +199,56 @@ def forced_sources_closure(graph: Digraph) -> tuple[frozenset[int], Digraph, tup
     A source (in-degree-0 vertex) can only dominate itself, so it belongs to
     every independent dominating set; distinct sources are never adjacent.
     Returns (forced set in original ids, source-free residual, old-id map).
+    O(n + m).
     """
-    alive = set(range(graph.n))
-    forced: set[int] = set()
-    while True:
-        sources = [
-            v for v in alive if not any(u in alive for u in graph.in_adj[v])
-        ]
-        if not sources:
-            break
-        forced.update(sources)
-        for v in sources:
-            alive.discard(v)
-            alive.difference_update(graph.out_adj[v])
-    residual, old_ids = induced_subgraph(graph, alive)
-    return frozenset(forced), residual, old_ids
+    taken, alive, _, _ = _source_closure(graph)
+    residual, old_ids = induced_subgraph(graph, (v for v in range(graph.n) if alive[v]))
+    return frozenset(taken), residual, old_ids
+
+
+def _solve_dag(graph: Digraph, analysis: _Analysis) -> SolveOutcome:
+    t0 = time.perf_counter()
+    if analysis.period != 0:
+        raise ValueError("graph contains a directed cycle")
+    forced, residual, _ = forced_sources_closure(graph)
+    if residual.n:  # a nonempty acyclic graph always has a source
+        raise InternalError("the source closure left part of an acyclic graph")
+    return _finish_found(graph, forced, "dag-greedy", SolverStats(), t0)
 
 
 def solve_dag(graph: Digraph) -> SolveOutcome:
     """Greedy solution for acyclic digraphs: the source closure empties them."""
+    return _solve_dag(graph, _analyze(graph))
+
+
+def _even_odd(analysis: _Analysis) -> tuple[frozenset[int], frozenset[int]]:
+    """Even-layer and odd-layer unions of an even-period strongly connected graph."""
+    h = analysis.strong_period()
+    if h % 2 == 1:
+        raise ValueError(f"period {h} is odd")
+    layers = analysis.layers[0]
+    evens = frozenset(v for i in range(0, h, 2) for v in layers[i])
+    odds = frozenset(v for i in range(1, h, 2) for v in layers[i])
+    return evens, odds
+
+
+def _solve_even_period(graph: Digraph, analysis: _Analysis) -> SolveOutcome:
     t0 = time.perf_counter()
-    search = _Search()
-    if period(graph) != 0:
-        raise ValueError("graph contains a directed cycle")
-    forced, residual, _ = forced_sources_closure(graph)
-    assert residual.n == 0  # a nonempty acyclic graph always has a source
-    return _finish_found(graph, forced, "dag-greedy", search, t0)
+    evens, _ = _even_odd(analysis)
+    return _finish_found(graph, evens, "even-period", SolverStats(), t0)
 
 
 def solve_even_period(graph: Digraph) -> SolveOutcome:
     """Even-period strongly connected digraphs: take the even layers."""
-    t0 = time.perf_counter()
-    search = _Search()
-    h = scc_period(graph)
-    if h % 2 == 1:
-        raise ValueError(f"period {h} is odd")
-    layers = layer_decomposition(graph)
-    evens = frozenset().union(*(layers.layers[i] for i in range(0, h, 2)))
-    return _finish_found(graph, evens, "even-period", search, t0)
+    return _solve_even_period(graph, _analyze(graph))
 
 
 def two_disjoint_ids(graph: Digraph) -> tuple[frozenset[int], frozenset[int]]:
     """Two disjoint verified independent dominating sets of an even-period graph:
     the even-layer union and the odd-layer union."""
-    h = scc_period(graph)
-    if h % 2 == 1:
-        raise ValueError(f"period {h} is odd")
-    layers = layer_decomposition(graph)
-    evens = frozenset().union(*(layers.layers[i] for i in range(0, h, 2)))
-    odds = frozenset().union(*(layers.layers[i] for i in range(1, h, 2)))
-    assert is_ids(graph, evens).ids and is_ids(graph, odds).ids
+    evens, odds = _even_odd(_analyze(graph))
+    _check_ids(graph, evens, "the even layers")
+    _check_ids(graph, odds, "the odd layers")
     return evens, odds
 
 
@@ -225,18 +290,10 @@ def solve_bipartite(graph: Digraph, parts=None) -> SolveOutcome:
     necessarily on the other side; taking a whole side therefore dominates.
     """
     t0 = time.perf_counter()
-    search = _Search()
     color = _two_coloring(graph, parts)
-    forced, residual, old_ids = forced_sources_closure(graph)
-    side = {old_ids[v] for v in range(residual.n) if color[old_ids[v]] == 0}
-    return _finish_found(graph, forced | side, "bipartite", search, t0)
-
-
-def _layer_masks(layers: LayerDecomposition) -> list[int]:
-    masks = [0] * layers.h
-    for v, i in enumerate(layers.layer_of):
-        masks[i] |= 1 << v
-    return masks
+    forced, alive, _, _ = _source_closure(graph)
+    side = [v for v in range(graph.n) if alive[v] and color[v] == 0]
+    return _finish_found(graph, forced + side, "bipartite", SolverStats(), t0)
 
 
 def _propagate(
@@ -297,28 +354,37 @@ def propagate_layer_seed(
     if not seed_set <= layers.layers[k]:
         raise ValueError("seed is not a subset of layer k")
     search = _Search(budget)
+    layer_masks = [_mask_of(layer) for layer in layers.layers]
     union_mask, failed = _propagate(
-        graph.out_masks, _layer_masks(layers), layers.h, k, _mask_of(seed_set), search
+        graph.out_masks, layer_masks, layers.h, k, _mask_of(seed_set), search
     )
     if union_mask is None:
         return PropagationResult(False, None, failed)
     union = _set_of(union_mask)
-    assert is_ids(graph, union).ids
+    _check_ids(graph, union, "layer propagation")
     return PropagationResult(True, union, None)
 
 
-def _iter_strong_ids(graph: Digraph, search: _Search) -> Iterator[frozenset[int]]:
-    """All independent dominating sets of a strongly connected digraph.
+def _iter_strong_ids(
+    out_adj: tuple[tuple[int, ...], ...],
+    comp: Sequence[int],
+    layers: Sequence[Sequence[int]],
+    search: _Search,
+) -> Iterator[list[int]]:
+    """All independent dominating sets of the strongly connected subgraph on
+    ``comp`` (ascending), given its layers.
 
     Enumerates seeds over the smallest layer (ties: lowest index) in
     ascending bitmask order, bit j being the j-th smallest layer member;
     each consistent propagation is one distinct set, and every set shows up.
+    Bitmasks index ``comp``, so they stay as small as the component.
     """
-    layers = layer_decomposition(graph)
-    layer_masks = _layer_masks(layers)
-    k = min(range(layers.h), key=lambda i: (len(layers.layers[i]), i))
-    members = sorted(layers.layers[k])
-    out_masks = graph.out_masks
+    pos = {v: i for i, v in enumerate(comp)}
+    out_masks = tuple(_mask_of(pos[w] for w in out_adj[v] if w in pos) for v in comp)
+    layer_masks = [_mask_of(pos[v] for v in layer) for layer in layers]
+    h = len(layers)
+    k = min(range(h), key=lambda i: (len(layers[i]), i))
+    members = [pos[v] for v in layers[k]]
     for seed_bits in range(1 << len(members)):
         search.charge()
         search.stats.seeds_explored += 1
@@ -328,9 +394,9 @@ def _iter_strong_ids(graph: Digraph, search: _Search) -> Iterator[frozenset[int]
             j = (b & -b).bit_length() - 1
             b &= b - 1
             seed_mask |= 1 << members[j]
-        union_mask, _ = _propagate(out_masks, layer_masks, layers.h, k, seed_mask, search)
+        union_mask, _ = _propagate(out_masks, layer_masks, h, k, seed_mask, search)
         if union_mask is not None:
-            yield _set_of(union_mask)
+            yield [comp[i] for i in _set_of(union_mask)]
 
 
 def solve_strong_by_layers(graph: Digraph, budget: int | None = None) -> SolveOutcome:
@@ -341,41 +407,107 @@ def solve_strong_by_layers(graph: Digraph, budget: int | None = None) -> SolveOu
     h layers, and reports the first consistent set or that none exists.
     """
     t0 = time.perf_counter()
-    if not is_strongly_connected(graph):
+    analysis = _analyze(graph)
+    if not analysis.strong:
         raise ValueError("graph is not strongly connected")
-    if scc_period(graph) % 2 == 0:
-        return solve_even_period(graph)
+    if analysis.strong_period() % 2 == 0:
+        return _solve_even_period(graph, analysis)
     search = _Search(budget)
-    for found in _iter_strong_ids(graph, search):
-        return _finish_found(graph, found, "layers", search, t0)
-    return _finish_none("layers", search, t0)
+    comp = analysis.scc.components[0]
+    for found in _iter_strong_ids(graph.out_adj, comp, analysis.layers[0], search):
+        return _finish_found(graph, found, "layers", search.stats, t0)
+    return _finish_none("layers", search.stats, t0)
 
 
-def _exact(graph: Digraph, search: _Search, depth: int) -> frozenset[int] | None:
-    search.stats.recursion_depth = max(search.stats.recursion_depth, depth)
-    forced, residual, old_ids = forced_sources_closure(graph)
-    if residual.n == 0:
-        return forced
-    cond = condensation(residual)
-    sources = cond.source_components()
-    # a size-1 source component would itself be a source vertex, so every
-    # source component here is strongly connected on >= 2 vertices
-    target = min(sources, key=lambda c: cond.scc.components[c][0])
-    comp = cond.scc.components[target]
-    comp_graph, comp_old = induced_subgraph(residual, comp)
-    for candidate_local in _iter_strong_ids(comp_graph, search):
-        candidate = {comp_old[v] for v in candidate_local}
-        removed = set(comp)
-        for v in candidate:
-            removed.update(residual.out_adj[v])
-        rest_graph, rest_old = induced_subgraph(
-            residual, (v for v in range(residual.n) if v not in removed)
+def _exact(graph: Digraph, analysis: _Analysis, search: _Search) -> list[int] | None:
+    """Depth-first search over alive flags of ``graph`` (one byte per
+    vertex), with an explicit stack; see :func:`solve_exact`.
+
+    Each level deletes a candidate's closed out-neighborhood and the source
+    closure that follows. Deleting vertices never merges components, so the
+    residual's source components are recomputed only inside the original
+    components that lost a vertex or an in-neighbor; the others keep those
+    of the level above. Backtracking undoes the trail of deletions.
+    """
+    n = graph.n
+    out_adj, in_adj = graph.out_adj, graph.in_adj
+    comp_of, comps = analysis.scc.component_of, analysis.scc.components
+    taken, alive, indeg, trail = _source_closure(graph)
+    index, low, label = [n] * n, [0] * n, [0] * n  # scratch for _tarjan and labels
+    stamps = count(1)
+
+    def label_fresh(comp: Sequence[int]) -> int:
+        stamp = next(stamps)
+        for v in comp:
+            label[v] = stamp
+        return stamp
+
+    def is_source(comp: Sequence[int], labels: Sequence[int], c: int) -> bool:
+        """Whether no alive vertex outside ``comp`` (labelled ``c``) has an
+        arc into it; after the closure no single vertex is a source."""
+        return len(comp) >= 2 and all(
+            labels[u] == c or not alive[u] for v in comp for u in in_adj[v]
         )
-        tail = _exact(rest_graph, search, depth + 1)
-        if tail is not None:
-            solved = candidate | {rest_old[v] for v in tail}
-            return forced | {old_ids[v] for v in solved}
-    return None
+
+    def sources_after(
+        deleted: list[int], kept: Iterable[tuple[int, ...]]
+    ) -> list[tuple[int, ...]]:
+        """Source components of the residual after ``deleted`` went: those of
+        ``kept`` (the sources before) in untouched original components, and
+        the sources found by recomputing the components of the touched ones,
+        which lost a vertex or an in-neighbor."""
+        touched = {comp_of[t] for t in deleted}
+        touched.update(comp_of[x] for t in deleted for x in out_adj[t])
+        found = [comp for comp in kept if comp_of[comp[0]] not in touched]
+        members = [v for c in touched for v in comps[c] if alive[v]]
+        for v in members:
+            index[v] = -1
+        for comp in _tarjan(out_adj, members, index, low):
+            if is_source(comp, label, label_fresh(comp)):
+                found.append(comp)
+        return found
+
+    original = [comp for c, comp in enumerate(comps) if is_source(comp, comp_of, c)]
+    sources = sources_after(trail, original)
+    search.stats.recursion_depth = 1
+    # frame: candidate iterator, the other sources, trail and taken lengths
+    stack: list[tuple[Iterator[list[int]], list[tuple[int, ...]], int, int]] = []
+    while True:
+        if not sources:  # an empty residual: every vertex is dominated
+            return taken
+        target = min(sources)  # the one with the lowest vertex
+        c = comp_of[target[0]]
+        if len(target) == len(comps[c]):  # still the whole original component
+            layers = analysis.layers[c]
+        else:
+            _, layers = _period_layers(out_adj, target, label, label_fresh(target))
+        others = [comp for comp in sources if comp is not target]
+        candidates = _iter_strong_ids(out_adj, target, layers, search)
+        stack.append((candidates, others, len(trail), len(taken)))
+        sources = None
+        while sources is None:
+            if not stack:
+                return None
+            candidates, others, trail_mark, taken_mark = stack[-1]
+            _restore(out_adj, alive, indeg, trail, trail_mark)
+            del taken[taken_mark:]
+            candidate = next(candidates, None)
+            if candidate is None:
+                stack.pop()
+                continue
+            # the target lies inside the candidate's closed out-neighborhood
+            taken += _take(out_adj, alive, indeg, candidate, trail)
+            sources = sources_after(trail[trail_mark:], others)
+            search.stats.recursion_depth = max(search.stats.recursion_depth, len(stack) + 1)
+
+
+def _solve_exact(graph: Digraph, analysis: _Analysis, budget: int | None) -> SolveOutcome:
+    t0 = time.perf_counter()
+    search = _Search(budget)
+    solution = _exact(graph, analysis, search)
+    if solution is None:
+        return _finish_none("exact", search.stats, t0)
+    return _finish_found(graph, solution, "exact", search.stats, t0)
 
 
 def solve_exact(graph: Digraph, budget: int | None = None) -> SolveOutcome:
@@ -386,22 +518,19 @@ def solve_exact(graph: Digraph, budget: int | None = None) -> SolveOutcome:
     component can only be dominated from within), recursing on what is left
     undominated. Sound and complete; only the step budget can stop it early.
     """
-    t0 = time.perf_counter()
-    search = _Search(budget)
-    solution = _exact(graph, search, 1)
-    if solution is None:
-        return _finish_none("exact", search, t0)
-    return _finish_found(graph, solution, "exact", search, t0)
+    return _solve_exact(graph, _analyze(graph), budget)
 
 
 def solve_auto(graph: Digraph, budget: int | None = None) -> SolveOutcome:
     """Dispatch by structure: acyclic and even-period graphs have fast
-    constructions; everything else goes through the exact solver."""
-    if period(graph) == 0:
-        return solve_dag(graph)
-    if is_strongly_connected(graph) and scc_period(graph) % 2 == 0:
-        return solve_even_period(graph)
-    return solve_exact(graph, budget)
+    constructions; everything else goes through the exact solver. The
+    structure is analyzed once and shared with the chosen solver."""
+    analysis = _analyze(graph)
+    if analysis.period == 0:
+        return _solve_dag(graph, analysis)
+    if analysis.strong and analysis.periods[0] % 2 == 0:
+        return _solve_even_period(graph, analysis)
+    return _solve_exact(graph, analysis, budget)
 
 
 def _ids_mask(out_masks: tuple[int, ...], full: int, mask: int) -> bool:
@@ -431,8 +560,8 @@ def brute_force_solve(
         search.charge()
         search.stats.subsets_explored += 1
         if _ids_mask(out_masks, full, mask):
-            return _finish_found(graph, _set_of(mask), "brute", search, t0)
-    return _finish_none("brute", search, t0)
+            return _finish_found(graph, _set_of(mask), "brute", search.stats, t0)
+    return _finish_none("brute", search.stats, t0)
 
 
 def enumerate_ids_brute(graph: Digraph, cap: int = 20) -> list[frozenset[int]]:

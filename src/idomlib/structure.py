@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
+from typing import Iterable, Sequence
 
-from .digraph import Digraph, induced_subgraph
+from .digraph import Digraph
 
 __all__ = [
     "Condensation",
@@ -35,20 +37,25 @@ class SccDecomposition:
     components: tuple[tuple[int, ...], ...]
 
 
-def sccs(graph: Digraph) -> SccDecomposition:
-    """Strongly connected components via iterative Tarjan.
+def _tarjan(
+    out_adj: tuple[tuple[int, ...], ...],
+    roots: Iterable[int],
+    index: list[int],
+    low: list[int],
+) -> list[tuple[int, ...]]:
+    """Iterative Tarjan over the subgraph induced by the vertices whose
+    ``index`` entry is -1; every other entry must be ``len(index)``.
 
-    Vertices and neighbors are visited in ascending order, so the output is
-    deterministic; components come out in reverse topological order.
+    Roots and neighbors are visited in the given order. A finished vertex
+    gets ``index`` ``len(index)`` again, so it reads like an outside vertex
+    and the array is ready for the next call. Components come out in reverse
+    topological order, each sorted ascending.
     """
-    n = graph.n
-    index = [-1] * n
-    low = [0] * n
-    onstack = [False] * n
+    done = len(index)
     stack: list[int] = []
     components: list[tuple[int, ...]] = []
     counter = 0
-    for root in range(n):
+    for root in roots:
         if index[root] != -1:
             continue
         work: list[tuple[int, int]] = [(root, 0)]
@@ -58,9 +65,8 @@ def sccs(graph: Digraph) -> SccDecomposition:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
-                onstack[v] = True
             descended = False
-            neighbors = graph.out_adj[v]
+            neighbors = out_adj[v]
             while ptr < len(neighbors):
                 w = neighbors[ptr]
                 ptr += 1
@@ -69,8 +75,9 @@ def sccs(graph: Digraph) -> SccDecomposition:
                     work.append((w, 0))
                     descended = True
                     break
-                if onstack[w]:
-                    low[v] = min(low[v], index[w])
+                # on the stack: index[w] < done; finished or outside: no-op
+                if index[w] < low[v]:
+                    low[v] = index[w]
             if descended:
                 continue
             work.pop()
@@ -78,7 +85,7 @@ def sccs(graph: Digraph) -> SccDecomposition:
                 comp = []
                 while True:
                     w = stack.pop()
-                    onstack[w] = False
+                    index[w] = done
                     comp.append(w)
                     if w == v:
                         break
@@ -86,6 +93,17 @@ def sccs(graph: Digraph) -> SccDecomposition:
             if work:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
+    return components
+
+
+def sccs(graph: Digraph) -> SccDecomposition:
+    """Strongly connected components via iterative Tarjan.
+
+    Vertices and neighbors are visited in ascending order, so the output is
+    deterministic; components come out in reverse topological order.
+    """
+    n = graph.n
+    components = _tarjan(graph.out_adj, range(n), [-1] * n, [0] * n)
     component_of = [0] * n
     for ci, comp in enumerate(components):
         for v in comp:
@@ -109,8 +127,7 @@ class Condensation:
         return [c for c in range(self.dag.n) if not self.dag.in_adj[c]]
 
 
-def condensation(graph: Digraph) -> Condensation:
-    s = sccs(graph)
+def _condense(graph: Digraph, s: SccDecomposition) -> Condensation:
     arcs = {
         (s.component_of[u], s.component_of[v])
         for (u, v) in graph.arcs
@@ -119,17 +136,97 @@ def condensation(graph: Digraph) -> Condensation:
     return Condensation(Digraph(len(s.components), arcs), s)
 
 
-def _bfs_levels(graph: Digraph, root: int) -> list[int]:
-    level = [-1] * graph.n
-    level[root] = 0
+def condensation(graph: Digraph) -> Condensation:
+    return _condense(graph, sccs(graph))
+
+
+def _period_layers(
+    out_adj: tuple[tuple[int, ...], ...],
+    comp: Sequence[int],
+    label: Sequence[int],
+    c: int,
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Period and layers of a strongly connected subgraph on >= 2 vertices.
+
+    ``comp`` lists its vertices ascending; they, and no others, have
+    ``label[v] == c``. One BFS from ``comp[0]`` gives the levels; the period
+    ``h`` is the gcd over inner arcs (u, v) of level(u)+1-level(v), and layer
+    ``i`` holds the vertices whose level is ``i`` mod ``h``, ascending.
+    """
+    root = comp[0]
+    level = {root: 0}
     queue = deque([root])
     while queue:
         u = queue.popleft()
-        for v in graph.out_adj[u]:
-            if level[v] == -1:
-                level[v] = level[u] + 1
+        next_level = level[u] + 1
+        for v in out_adj[u]:
+            if label[v] == c and v not in level:
+                level[v] = next_level
                 queue.append(v)
-    return level
+    h = 0
+    for u in comp:
+        next_level = level[u] + 1
+        for v in out_adj[u]:
+            if label[v] == c:
+                h = gcd(h, next_level - level[v])
+    # some arc closes a cycle, so h >= 1 here
+    layers: list[list[int]] = [[] for _ in range(h)]
+    for v in comp:
+        layers[level[v] % h].append(v)
+    return h, tuple(map(tuple, layers))
+
+
+@dataclass(frozen=True)
+class _Analysis:
+    """One structure pass over a graph: its SCCs, and the period and layers
+    of every component (0 and no layers for a single vertex)."""
+
+    graph: Digraph
+    scc: SccDecomposition
+    periods: tuple[int, ...]
+    layers: tuple[tuple[tuple[int, ...], ...], ...]
+
+    @property
+    def period(self) -> int:
+        """gcd of all directed cycle lengths; 0 when the graph is acyclic."""
+        g = 0
+        for h in self.periods:
+            g = gcd(g, h)
+        return g
+
+    @property
+    def strong(self) -> bool:
+        return len(self.scc.components) == 1
+
+    @cached_property
+    def condensation(self) -> Condensation:
+        return _condense(self.graph, self.scc)
+
+    def strong_period(self) -> int:
+        """The period of a strongly connected graph with at least one arc."""
+        if self.graph.n == 0:
+            raise ValueError("empty graph has no period")
+        if not self.strong:
+            raise ValueError("graph is not strongly connected")
+        if self.graph.n == 1:
+            raise ValueError("single vertex contains no directed cycle")
+        return self.periods[0]
+
+
+def _analyze(graph: Digraph) -> _Analysis:
+    """SCCs from one ``sccs`` call, then one BFS per nontrivial component;
+    O(n + m) in all."""
+    s = sccs(graph)
+    periods, layers = [], []
+    for c, comp in enumerate(s.components):
+        h, comp_layers = (
+            _period_layers(graph.out_adj, comp, s.component_of, c)
+            if len(comp) >= 2
+            else (0, ())
+        )
+        periods.append(h)
+        layers.append(comp_layers)
+    return _Analysis(graph, s, tuple(periods), tuple(layers))
 
 
 def scc_period(graph: Digraph) -> int:
@@ -137,18 +234,7 @@ def scc_period(graph: Digraph) -> int:
 
     Computed from BFS levels: the gcd over arcs (u, v) of level(u)+1-level(v).
     """
-    if graph.n == 0:
-        raise ValueError("empty graph has no period")
-    if not is_strongly_connected(graph):
-        raise ValueError("graph is not strongly connected")
-    if graph.n == 1:
-        raise ValueError("single vertex contains no directed cycle")
-    level = _bfs_levels(graph, 0)
-    g = 0
-    for u, v in graph.arcs:
-        g = gcd(g, abs(level[u] + 1 - level[v]))
-    # some arc closes a cycle, so g >= 1 here
-    return g
+    return _analyze(graph).strong_period()
 
 
 def period(graph: Digraph) -> int:
@@ -157,12 +243,7 @@ def period(graph: Digraph) -> int:
     Every cycle lives inside a strongly connected component, so this is the
     gcd of the per-component periods over components with at least 2 vertices.
     """
-    g = 0
-    for comp in sccs(graph).components:
-        if len(comp) >= 2:
-            sub, _ = induced_subgraph(graph, comp)
-            g = gcd(g, scc_period(sub))
-    return g
+    return _analyze(graph).period
 
 
 @dataclass(frozen=True)
@@ -181,13 +262,15 @@ def layer_decomposition(graph: Digraph) -> LayerDecomposition:
     Vertex 0 always lands in layer 0. Every residue class is nonempty because
     each vertex has an out-neighbor one layer onward.
     """
-    h = scc_period(graph)
-    level = _bfs_levels(graph, 0)
-    layer_of = tuple(lv % h for lv in level)
-    layers = tuple(
-        frozenset(v for v in range(graph.n) if layer_of[v] == i) for i in range(h)
+    analysis = _analyze(graph)
+    h = analysis.strong_period()
+    layer_of = [0] * graph.n
+    for i, layer in enumerate(analysis.layers[0]):
+        for v in layer:
+            layer_of[v] = i
+    return LayerDecomposition(
+        h, tuple(layer_of), tuple(map(frozenset, analysis.layers[0]))
     )
-    return LayerDecomposition(h, layer_of, layers)
 
 
 def cycle_gcd_oracle(graph: Digraph, max_n: int = 12) -> int:

@@ -66,6 +66,35 @@ def min_undirected_ids_size(graph: UndirectedGraph) -> int:
     return best
 
 
+def closure_by_rounds(graph: Digraph):
+    """Source closure by whole rounds: rescan the alive set, take every
+    source at once, delete their closed out-neighborhoods, repeat. Quadratic,
+    and kept as the reference for ``forced_sources_closure``."""
+    alive = set(range(graph.n))
+    forced: set[int] = set()
+    while True:
+        sources = [v for v in alive if not any(u in alive for u in graph.in_adj[v])]
+        if not sources:
+            break
+        forced.update(sources)
+        for v in sources:
+            alive.discard(v)
+            alive.difference_update(graph.out_adj[v])
+    residual, old_ids = induced_subgraph(graph, alive)
+    return frozenset(forced), residual, old_ids
+
+
+def antiparallel_chain(pairs: int) -> Digraph:
+    """Antiparallel pairs {2i, 2i+1}; pair i feeds pair i-1 by one arc, so
+    the condensation is a path of ``pairs`` components."""
+    arcs = []
+    for i in range(pairs):
+        arcs += [(2 * i, 2 * i + 1), (2 * i + 1, 2 * i)]
+        if i:
+            arcs.append((2 * i, 2 * i - 2))
+    return Digraph(2 * pairs, arcs)
+
+
 def disjoint_union(*graphs: Digraph) -> Digraph:
     arcs = []
     offset = 0

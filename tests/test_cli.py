@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import idomlib.cli
+import idomlib.structure
 from idomlib import (
     cartesian_product,
     cn_box_cn_ids,
@@ -11,7 +13,7 @@ from idomlib import (
     gen_wheel,
     parse_digraph,
 )
-from idomlib.cli import main
+from idomlib.cli import EXIT_INTERNAL, main
 
 
 @pytest.fixture
@@ -78,6 +80,16 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", write_graph("2 2\n0 1\n0 1\n"))
         assert code == 0 and "duplicate" in err
 
+    def test_one_scc_pass(self, capsys, write_graph, monkeypatch):
+        calls = []
+        real = idomlib.structure.sccs
+        monkeypatch.setattr(
+            idomlib.structure, "sccs", lambda g: calls.append(g) or real(g)
+        )
+        code, out, _ = run(capsys, "analyze", write_graph(gen_cycle(6)))
+        assert code == 0 and "layers=[1,1,1,1,1,1]" in out
+        assert len(calls) == 1
+
 
 class TestSolve:
     def test_pentagon_status_exit(self, capsys, write_graph):
@@ -134,6 +146,18 @@ class TestSolve:
         monkeypatch.setenv("IDOM_BUDGET", "lots")
         code, _, _ = run(capsys, "solve", write_graph(gen_cycle(5)))
         assert code == 2
+
+    def test_unexpected_exception_exit_code(self, capsys, write_graph, monkeypatch):
+        def broken(graph, budget):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setitem(idomlib.cli._SOLVERS, "auto", broken)
+        code, out, err = run(
+            capsys, "solve", write_graph(gen_cycle(5)), "--status-exit"
+        )
+        assert code == EXIT_INTERNAL == 4 and out == ""
+        assert err.startswith("internal error: RecursionError: maximum recursion")
+        assert "Traceback" not in err
 
 
 class TestVerify:

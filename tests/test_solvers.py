@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
+from hypothesis import given, settings
 
+import idomlib.structure
 from idomlib import (
     BudgetExceeded,
     CapExceeded,
@@ -24,6 +30,7 @@ from idomlib import (
     min_dom_size_brute,
     min_ids_size_brute,
     propagate_layer_seed,
+    random_dag,
     random_layered_strong,
     random_oriented_bipartite,
     solve_auto,
@@ -35,7 +42,13 @@ from idomlib import (
     two_disjoint_ids,
 )
 
-from helpers import all_ids_by_enumeration, strongly_connected_samples
+from helpers import (
+    all_ids_by_enumeration,
+    antiparallel_chain,
+    closure_by_rounds,
+    digraphs,
+    strongly_connected_samples,
+)
 
 OUT_STAR = Digraph(4, [(0, 1), (0, 2), (0, 3)])
 
@@ -71,6 +84,11 @@ class TestForcedSourcesClosure:
             forced, _, _ = forced_sources_closure(g)
             for solution in all_ids_by_enumeration(g):
                 assert forced <= solution
+
+    @settings(max_examples=150, deadline=None)
+    @given(digraphs(max_n=10))
+    def test_matches_round_based_reference(self, g):
+        assert forced_sources_closure(g) == closure_by_rounds(g)
 
 
 class TestSolveDag:
@@ -318,6 +336,62 @@ class TestSolveAuto:
         for seed in range(40):
             g = random_digraph(1 + seed % 9, 0.25, seed=7000 + seed)
             assert solve_auto(g).status == solve_exact(g).status
+
+
+class TestOneStructurePass:
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            gen_cycle(10),
+            cartesian_product(gen_cycle(5), gen_cycle(5)),
+            random_dag(40, 0.1, seed=3),
+        ],
+        ids=["cycle", "odd-torus", "dag"],
+    )
+    def test_solve_auto_computes_sccs_once(self, graph, monkeypatch):
+        calls = []
+        real = idomlib.structure.sccs
+        monkeypatch.setattr(
+            idomlib.structure, "sccs", lambda g: calls.append(g) or real(g)
+        )
+        assert solve_auto(graph).found
+        assert len(calls) == 1
+
+
+class TestDeepChains:
+    def test_1200_pair_chain(self):
+        g = antiparallel_chain(1200)
+        outcome = solve_auto(g)
+        assert outcome.found and outcome.method == "exact"
+        assert is_ids(g, outcome.set).ids
+        assert outcome.stats.recursion_depth == 1201
+
+
+class TestVerificationSurvivesOptimize:
+    def test_invalid_set_rejected_under_python_O(self):
+        # a closure that forces two adjacent vertices makes solve_dag
+        # return an invalid set, which the verification must still catch
+        script = textwrap.dedent(
+            """
+            import idomlib.solvers as solvers
+            from idomlib import gen_path
+
+            real = solvers.forced_sources_closure
+            solvers.forced_sources_closure = lambda g: ({0, 1}, *real(g)[1:])
+            try:
+                solvers.solve_dag(gen_path(3))
+            except solvers.InternalError as exc:
+                print("rejected", __debug__, exc)
+            """
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("rejected False")
 
 
 class TestStructuralProperties:
