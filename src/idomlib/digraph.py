@@ -81,17 +81,6 @@ class Digraph:
             masks.append(m)
         return tuple(masks)
 
-    @cached_property
-    def in_masks(self) -> tuple[int, ...]:
-        """Per-vertex in-neighborhood as a bitmask."""
-        masks = []
-        for us in self.in_adj:
-            m = 0
-            for u in us:
-                m |= 1 << u
-            masks.append(m)
-        return tuple(masks)
-
 
 def _check_members(graph: Digraph, members: Iterable[int]) -> frozenset[int]:
     s = frozenset(members)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .digraph import Digraph, is_ids
-from .structure import is_strongly_connected, period
+from .structure import _analyze
 
 __all__ = [
     "DhkGraph",
@@ -175,8 +175,8 @@ def gen_dhk(spec: DhkSpec, strict: bool = True) -> DhkGraph:
                     arcs.append((vi, vj))
     graph = Digraph(next_id, arcs)
 
-    connected = is_strongly_connected(graph)
-    realized = period(graph)
+    analysis = _analyze(graph)
+    connected, realized = analysis.strong, analysis.period
     result = DhkGraph(
         graph, tuple(tuple(layer) for layer in layers), spec, connected, realized
     )
@@ -247,7 +247,8 @@ def cn_box_cn_ids(n: int) -> frozenset[int]:
         i * n + (i + 2 * j) % n for i in range(n) for j in range(n // 2)
     )
     product = cartesian_product(gen_cycle(n), gen_cycle(n))
-    assert is_ids(product, members).ids
+    if not is_ids(product, members).ids:
+        raise GenerationError(f"the row construction for n={n} is not a solution")
     return members
 
 
@@ -323,8 +324,10 @@ def random_layered_strong(
                     if rng.random() < arc_prob:
                         arcs.add((vertex(i, j), vertex(nxt, j2)))
         graph = Digraph(h * s, arcs)
-        assert is_strongly_connected(graph)
-        if period(graph) == h:
+        analysis = _analyze(graph)
+        if not analysis.strong:
+            raise GenerationError("the spanning cycle left the graph not strongly connected")
+        if analysis.period == h:
             return graph
     raise GenerationError(
         f"could not hit period {h} in {max_attempts} attempts "

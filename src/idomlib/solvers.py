@@ -97,20 +97,11 @@ class _Search:
             raise BudgetExceeded(f"work budget of {self.budget} steps exhausted")
 
 
-def _mask_of(members: Iterable[int]) -> int:
-    mask = 0
-    for v in members:
-        mask |= 1 << v
-    return mask
-
-
-def _set_of(mask: int) -> frozenset[int]:
-    out = []
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
     while mask:
-        v = (mask & -mask).bit_length() - 1
+        yield (mask & -mask).bit_length() - 1
         mask &= mask - 1
-        out.append(v)
-    return frozenset(out)
 
 
 def _check_ids(graph: Digraph, members: Iterable[int], what: str) -> None:
@@ -252,16 +243,8 @@ def two_disjoint_ids(graph: Digraph) -> tuple[frozenset[int], frozenset[int]]:
     return evens, odds
 
 
-def _two_coloring(graph: Digraph, parts) -> list[int]:
+def _two_coloring(graph: Digraph) -> list[int]:
     n = graph.n
-    if parts is not None:
-        side_a, side_b = (frozenset(p) for p in parts)
-        if side_a & side_b or side_a | side_b != frozenset(range(n)):
-            raise ValueError("parts do not partition the vertex set")
-        for u, v in graph.arcs:
-            if (u in side_a) == (v in side_a):
-                raise ValueError(f"arc ({u}, {v}) lies inside one part")
-        return [0 if v in side_a else 1 for v in range(n)]
     undirected: list[list[int]] = [[] for _ in range(n)]
     for u, v in graph.arcs:
         undirected[u].append(v)
@@ -283,55 +266,79 @@ def _two_coloring(graph: Digraph, parts) -> list[int]:
     return color
 
 
-def solve_bipartite(graph: Digraph, parts=None) -> SolveOutcome:
+def solve_bipartite(graph: Digraph) -> SolveOutcome:
     """Bipartite underlying graph: source closure, then one side of the residual.
 
     The residual is source-free, so every vertex in it has an in-neighbor,
     necessarily on the other side; taking a whole side therefore dominates.
     """
     t0 = time.perf_counter()
-    color = _two_coloring(graph, parts)
+    color = _two_coloring(graph)
     forced, alive, _, _ = _source_closure(graph)
     side = [v for v in range(graph.n) if alive[v] and color[v] == 0]
     return _finish_found(graph, forced + side, "bipartite", SolverStats(), t0)
 
 
+def _step_masks(
+    out_adj: tuple[tuple[int, ...], ...], layers: Sequence[Sequence[int]]
+) -> list[list[int]]:
+    """For member j of layer i (layers list their members ascending), its
+    out-neighbors in layer i+1 mod h as a bitmask over that layer, bit p
+    being its p-th member. Only these arcs decide a propagation, so the
+    masks take O(n + m) bits."""
+    h = len(layers)
+    steps = []
+    for i, layer in enumerate(layers):
+        pos = {w: p for p, w in enumerate(layers[(i + 1) % h])}
+        row = []
+        for v in layer:
+            mask = 0
+            for w in out_adj[v]:
+                if w in pos:
+                    mask |= 1 << pos[w]
+            row.append(mask)
+        steps.append(row)
+    return steps
+
+
 def _propagate(
-    out_masks: tuple[int, ...],
-    layer_masks: list[int],
-    h: int,
-    k: int,
-    seed_mask: int,
-    search: _Search | None,
-) -> tuple[int | None, int | None]:
-    """Walk the seed around the layers; (union mask, None) if the wrap-around
-    recomputation of layer k reproduces the seed, else (None, failing step).
+    steps: list[list[int]], k: int, seed: int, search: _Search
+) -> tuple[list[int] | None, int | None]:
+    """Walk a seed (a bitmask over layer k) around the layers; (the masks of
+    layers k, k+1, ..., k+h-1, None) if the wrap-around recomputation of
+    layer k reproduces the seed, else (None, failing step).
 
     Step t fills layer k+t with everything not dominated from the previous
     step. An empty intermediate step cannot wrap consistently when h is odd
     (a valid set meets every layer of an odd-period graph), so it fails fast.
     """
+    h = len(steps)
     odd = h % 2 == 1
-    union = seed_mask
-    current = seed_mask
+    walk = [seed]
+    current = seed
     for t in range(1, h + 1):
-        if search is not None:
-            search.charge()
+        search.charge()
+        row = steps[(k + t - 1) % h]
         forbidden = 0
-        m = current
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            forbidden |= out_masks[v]
-        current = layer_masks[(k + t) % h] & ~forbidden
+        while current:
+            j = (current & -current).bit_length() - 1
+            current &= current - 1
+            forbidden |= row[j]
+        current = ((1 << len(steps[(k + t) % h])) - 1) & ~forbidden
         if t == h:
-            if current == seed_mask:
-                return union, None
+            if current == seed:
+                return walk, None
             return None, t
         if odd and current == 0:
             return None, t
-        union |= current
+        walk.append(current)
     raise AssertionError("unreachable")
+
+
+def _walk_members(layers: Sequence[Sequence[int]], k: int, walk: list[int]) -> list[int]:
+    """The vertices a walk from layer k selects."""
+    h = len(layers)
+    return [layers[(k + t) % h][j] for t, mask in enumerate(walk) for j in _bits(mask)]
 
 
 def propagate_layer_seed(
@@ -349,54 +356,44 @@ def propagate_layer_seed(
     whose layer-k slice equals the seed; it is verified before returning.
     """
     seed_set = frozenset(seed)
+    if len(layers.layer_of) != graph.n:
+        raise ValueError("layers do not cover the graph's vertices")
     if not (0 <= k < layers.h):
         raise ValueError(f"layer index {k} out of range for h={layers.h}")
     if not seed_set <= layers.layers[k]:
         raise ValueError("seed is not a subset of layer k")
-    search = _Search(budget)
-    layer_masks = [_mask_of(layer) for layer in layers.layers]
-    union_mask, failed = _propagate(
-        graph.out_masks, layer_masks, layers.h, k, _mask_of(seed_set), search
+    members = [sorted(layer) for layer in layers.layers]
+    seed_mask = sum(1 << j for j, v in enumerate(members[k]) if v in seed_set)
+    walk, failed = _propagate(
+        _step_masks(graph.out_adj, members), k, seed_mask, _Search(budget)
     )
-    if union_mask is None:
+    if walk is None:
         return PropagationResult(False, None, failed)
-    union = _set_of(union_mask)
+    union = frozenset(_walk_members(members, k, walk))
     _check_ids(graph, union, "layer propagation")
     return PropagationResult(True, union, None)
 
 
 def _iter_strong_ids(
     out_adj: tuple[tuple[int, ...], ...],
-    comp: Sequence[int],
     layers: Sequence[Sequence[int]],
     search: _Search,
 ) -> Iterator[list[int]]:
-    """All independent dominating sets of the strongly connected subgraph on
-    ``comp`` (ascending), given its layers.
+    """All independent dominating sets of the strongly connected subgraph
+    with these layers (each ascending).
 
     Enumerates seeds over the smallest layer (ties: lowest index) in
     ascending bitmask order, bit j being the j-th smallest layer member;
     each consistent propagation is one distinct set, and every set shows up.
-    Bitmasks index ``comp``, so they stay as small as the component.
     """
-    pos = {v: i for i, v in enumerate(comp)}
-    out_masks = tuple(_mask_of(pos[w] for w in out_adj[v] if w in pos) for v in comp)
-    layer_masks = [_mask_of(pos[v] for v in layer) for layer in layers]
-    h = len(layers)
-    k = min(range(h), key=lambda i: (len(layers[i]), i))
-    members = [pos[v] for v in layers[k]]
-    for seed_bits in range(1 << len(members)):
+    steps = _step_masks(out_adj, layers)
+    k = min(range(len(layers)), key=lambda i: (len(layers[i]), i))
+    for seed in range(1 << len(layers[k])):
         search.charge()
         search.stats.seeds_explored += 1
-        seed_mask = 0
-        b = seed_bits
-        while b:
-            j = (b & -b).bit_length() - 1
-            b &= b - 1
-            seed_mask |= 1 << members[j]
-        union_mask, _ = _propagate(out_masks, layer_masks, h, k, seed_mask, search)
-        if union_mask is not None:
-            yield [comp[i] for i in _set_of(union_mask)]
+        walk, _ = _propagate(steps, k, seed, search)
+        if walk is not None:
+            yield _walk_members(layers, k, walk)
 
 
 def solve_strong_by_layers(graph: Digraph, budget: int | None = None) -> SolveOutcome:
@@ -404,19 +401,15 @@ def solve_strong_by_layers(graph: Digraph, budget: int | None = None) -> SolveOu
 
     Even period delegates to the even-layer construction. Odd period
     enumerates at most 2^{|smallest layer|} seeds, each propagated around the
-    h layers, and reports the first consistent set or that none exists.
+    h layers, and reports the first consistent set or that none exists: on a
+    strongly connected graph that is exactly one level of :func:`solve_exact`.
     """
-    t0 = time.perf_counter()
     analysis = _analyze(graph)
     if not analysis.strong:
         raise ValueError("graph is not strongly connected")
     if analysis.strong_period() % 2 == 0:
         return _solve_even_period(graph, analysis)
-    search = _Search(budget)
-    comp = analysis.scc.components[0]
-    for found in _iter_strong_ids(graph.out_adj, comp, analysis.layers[0], search):
-        return _finish_found(graph, found, "layers", search.stats, t0)
-    return _finish_none("layers", search.stats, t0)
+    return _solve_exact(graph, analysis, budget, "layers")
 
 
 def _exact(graph: Digraph, analysis: _Analysis, search: _Search) -> list[int] | None:
@@ -482,7 +475,7 @@ def _exact(graph: Digraph, analysis: _Analysis, search: _Search) -> list[int] | 
         else:
             _, layers = _period_layers(out_adj, target, label, label_fresh(target))
         others = [comp for comp in sources if comp is not target]
-        candidates = _iter_strong_ids(out_adj, target, layers, search)
+        candidates = _iter_strong_ids(out_adj, layers, search)
         stack.append((candidates, others, len(trail), len(taken)))
         sources = None
         while sources is None:
@@ -501,13 +494,15 @@ def _exact(graph: Digraph, analysis: _Analysis, search: _Search) -> list[int] | 
             search.stats.recursion_depth = max(search.stats.recursion_depth, len(stack) + 1)
 
 
-def _solve_exact(graph: Digraph, analysis: _Analysis, budget: int | None) -> SolveOutcome:
+def _solve_exact(
+    graph: Digraph, analysis: _Analysis, budget: int | None, method: str = "exact"
+) -> SolveOutcome:
     t0 = time.perf_counter()
     search = _Search(budget)
     solution = _exact(graph, analysis, search)
     if solution is None:
-        return _finish_none("exact", search.stats, t0)
-    return _finish_found(graph, solution, "exact", search.stats, t0)
+        return _finish_none(method, search.stats, t0)
+    return _finish_found(graph, solution, method, search.stats, t0)
 
 
 def solve_exact(graph: Digraph, budget: int | None = None) -> SolveOutcome:
@@ -546,41 +541,47 @@ def _ids_mask(out_masks: tuple[int, ...], full: int, mask: int) -> bool:
     return cover == full
 
 
+def _check_cap(graph: Digraph, cap: int, what: str = "brute-force") -> None:
+    if graph.n > cap:
+        raise CapExceeded(f"n={graph.n} exceeds {what} cap {cap}")
+
+
+def _ids_masks(
+    graph: Digraph, cap: int, search: _Search | None = None, what: str = "brute-force"
+) -> Iterator[int]:
+    """Every independent dominating set as a bitmask, in ascending order,
+    after the cap check; a search is charged for, and counts, every subset
+    scanned."""
+    _check_cap(graph, cap, what)
+    out_masks = graph.out_masks
+    full = (1 << graph.n) - 1
+    for mask in range(1 << graph.n):
+        if search is not None:
+            search.charge()
+            search.stats.subsets_explored += 1
+        if _ids_mask(out_masks, full, mask):
+            yield mask
+
+
 def brute_force_solve(
     graph: Digraph, cap: int = 20, budget: int | None = None
 ) -> SolveOutcome:
     """Scan all subsets in ascending bitmask order; the independent oracle."""
     t0 = time.perf_counter()
-    if graph.n > cap:
-        raise CapExceeded(f"n={graph.n} exceeds brute-force cap {cap}")
     search = _Search(budget)
-    out_masks = graph.out_masks
-    full = (1 << graph.n) - 1
-    for mask in range(1 << graph.n):
-        search.charge()
-        search.stats.subsets_explored += 1
-        if _ids_mask(out_masks, full, mask):
-            return _finish_found(graph, _set_of(mask), "brute", search.stats, t0)
+    for mask in _ids_masks(graph, cap, search):
+        return _finish_found(graph, _bits(mask), "brute", search.stats, t0)
     return _finish_none("brute", search.stats, t0)
 
 
 def enumerate_ids_brute(graph: Digraph, cap: int = 20) -> list[frozenset[int]]:
     """Every independent dominating set, in ascending bitmask order."""
-    if graph.n > cap:
-        raise CapExceeded(f"n={graph.n} exceeds brute-force cap {cap}")
-    out_masks = graph.out_masks
-    full = (1 << graph.n) - 1
-    return [
-        _set_of(mask)
-        for mask in range(1 << graph.n)
-        if _ids_mask(out_masks, full, mask)
-    ]
+    return [frozenset(_bits(mask)) for mask in _ids_masks(graph, cap)]
 
 
 def min_ids_size_brute(graph: Digraph, cap: int = 20) -> int | None:
     """Minimum size of an independent dominating set; None when there is none."""
-    if graph.n > cap:
-        raise CapExceeded(f"n={graph.n} exceeds brute-force cap {cap}")
+    _check_cap(graph, cap)
     out_masks = graph.out_masks
     full = (1 << graph.n) - 1
     best: int | None = None
@@ -592,8 +593,7 @@ def min_ids_size_brute(graph: Digraph, cap: int = 20) -> int | None:
 
 def min_dom_size_brute(graph: Digraph, cap: int = 20) -> int:
     """Minimum size of a (not necessarily independent) dominating set."""
-    if graph.n > cap:
-        raise CapExceeded(f"n={graph.n} exceeds brute-force cap {cap}")
+    _check_cap(graph, cap)
     out_masks = graph.out_masks
     full = (1 << graph.n) - 1
     best = graph.n  # the whole vertex set always dominates
@@ -617,11 +617,7 @@ def idomatic_brute(graph: Digraph, cap: int = 14) -> int:
     Lists every set, then searches for the largest disjoint subfamily; 0 when
     the graph has no independent dominating set at all.
     """
-    if graph.n > cap:
-        raise CapExceeded(f"n={graph.n} exceeds idomatic cap {cap}")
-    out_masks = graph.out_masks
-    full = (1 << graph.n) - 1
-    masks = [m for m in range(1 << graph.n) if _ids_mask(out_masks, full, m)]
+    masks = list(_ids_masks(graph, cap, what="idomatic"))
     if not masks:
         return 0
     best = 0

@@ -44,7 +44,6 @@ class TestDigraph:
         assert g.out_adj == ((1,), (), (0, 1))
         assert g.in_adj == ((2,), (0, 2), ())
         assert g.out_masks == (0b010, 0, 0b011)
-        assert g.in_masks == (0b100, 0b101, 0)
 
     def test_equality_ignores_arc_insertion_order(self):
         assert Digraph(3, [(0, 1), (1, 2)]) == Digraph(3, [(1, 2), (0, 1)])

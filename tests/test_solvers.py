@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -159,16 +160,6 @@ class TestSolveBipartite:
         outcome = solve_bipartite(g)
         assert outcome.found and is_ids(g, outcome.set).ids
 
-    def test_explicit_parts(self):
-        g = random_oriented_bipartite(4, 4, 0.5, seed=3)
-        outcome = solve_bipartite(g, parts=(range(4), range(4, 8)))
-        assert outcome.found
-
-    def test_rejects_bad_parts(self):
-        g = Digraph(2, [(0, 1)])
-        with pytest.raises(ValueError, match="inside one part"):
-            solve_bipartite(g, parts=({0, 1}, set()))
-
     def test_rejects_odd_cycle(self):
         with pytest.raises(ValueError, match="not bipartite"):
             solve_bipartite(gen_cycle(5))
@@ -197,6 +188,11 @@ class TestPropagateLayerSeed:
         c4 = gen_cycle(4)
         with pytest.raises(ValueError, match="subset of layer"):
             propagate_layer_seed(c4, layer_decomposition(c4), 0, {1})
+
+    def test_rejects_layers_of_another_graph(self):
+        for g, other in [(gen_cycle(3), gen_cycle(5)), (gen_cycle(6), gen_cycle(3))]:
+            with pytest.raises(ValueError, match="do not cover"):
+                propagate_layer_seed(g, layer_decomposition(other), 0, {0})
 
     def test_completeness_against_enumeration(self):
         # consistent propagations over all seeds = exactly the solution sets
@@ -238,6 +234,22 @@ class TestSolveStrongByLayers:
     def test_rejects_non_strongly_connected(self):
         with pytest.raises(ValueError, match="not strongly connected"):
             solve_strong_by_layers(gen_path(3))
+
+    def test_matches_exact_on_odd_period(self):
+        # on a strongly connected graph the seed search is one level of _exact
+        samples = [
+            g for g in strongly_connected_samples(40, seed_base=6100)
+            if layer_decomposition(g).h % 2 == 1
+        ]
+        samples += [
+            cartesian_product(gen_cycle(3), gen_cycle(3)),
+            gen_dhk(DhkSpec(5, 3, "with_ids")).graph,
+        ]
+        for g in samples:
+            by_layers, exact = solve_strong_by_layers(g), solve_exact(g)
+            assert by_layers.method == "layers"
+            assert (by_layers.status, by_layers.set) == (exact.status, exact.set)
+            assert by_layers.stats.seeds_explored == exact.stats.seeds_explored
 
 
 class TestSolveExact:
@@ -367,6 +379,20 @@ class TestDeepChains:
         assert outcome.stats.recursion_depth == 1201
 
 
+class TestMemory:
+    def test_odd_cycle_search_memory_is_linear(self):
+        # one vertex per layer: component-wide seed masks would take ~n^2/8 bytes
+        g = gen_cycle(8001)
+        tracemalloc.start()
+        try:
+            outcome = solve_auto(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome.status == "none"
+        assert peak < 5_000_000
+
+
 class TestVerificationSurvivesOptimize:
     def test_invalid_set_rejected_under_python_O(self):
         # a closure that forces two adjacent vertices makes solve_dag
@@ -382,6 +408,13 @@ class TestVerificationSurvivesOptimize:
                 solvers.solve_dag(gen_path(3))
             except solvers.InternalError as exc:
                 print("rejected", __debug__, exc)
+
+            import idomlib.generators as generators
+            generators.is_ids = lambda graph, members: solvers.is_ids(graph, {0, 1})
+            try:
+                generators.cn_box_cn_ids(3)
+            except generators.GenerationError as exc:
+                print("generation rejected:", exc)
             """
         )
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -392,6 +425,7 @@ class TestVerificationSurvivesOptimize:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.startswith("rejected False")
+        assert "generation rejected:" in result.stdout
 
 
 class TestStructuralProperties:
