@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 negative answer under --status-exit, 2 input or
 usage error, 3 work budget or size cap exceeded, 4 internal error (an
 unexpected exception; never a verdict). The environment variable IDOM_BUDGET
-overrides the solver step budget.
+overrides the solver step budget; a value below 0 is a usage error.
 """
 
 from __future__ import annotations
@@ -63,9 +63,12 @@ def _budget() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise ValueError(f"IDOM_BUDGET must be an integer, got {raw!r}") from None
+    if budget < 0:
+        raise ValueError(f"IDOM_BUDGET must be at least 0, got {budget}")
+    return budget
 
 
 def _load(path: str):

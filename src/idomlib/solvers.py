@@ -62,6 +62,7 @@ class SolverStats:
     subsets_explored: int = 0
     recursion_depth: int = 0
     elapsed: float = 0.0
+    budget_used: int = 0  # steps charged to the search budget; 0 without a search
 
 
 @dataclass(frozen=True)
@@ -87,13 +88,15 @@ class _Search:
     """Step budget and counters shared across one solver invocation."""
 
     def __init__(self, budget: int | None = None) -> None:
+        if budget is not None and budget < 0:
+            raise ValueError(f"the work budget must be at least 0, got {budget}")
         self.budget = DEFAULT_BUDGET if budget is None else budget
-        self.used = 0
         self.stats = SolverStats()
 
     def charge(self, steps: int = 1) -> None:
-        self.used += steps
-        if self.used > self.budget:
+        stats = self.stats
+        stats.budget_used += steps
+        if stats.budget_used > self.budget:
             raise BudgetExceeded(f"work budget of {self.budget} steps exhausted")
 
 
@@ -301,38 +304,43 @@ def _step_masks(
     return steps
 
 
-def _propagate(
-    steps: list[list[int]], k: int, seed: int, search: _Search
-) -> tuple[list[int] | None, int | None]:
-    """Walk a seed (a bitmask over layer k) around the layers; (the masks of
-    layers k, k+1, ..., k+h-1, None) if the wrap-around recomputation of
-    layer k reproduces the seed, else (None, failing step).
-
-    Step t fills layer k+t with everything not dominated from the previous
-    step. An empty intermediate step cannot wrap consistently when h is odd
-    (a valid set meets every layer of an odd-period graph), so it fails fast.
-    """
+def _walk(
+    steps: list[list[int]], k: int, t: int, current: int, walk: list[int]
+) -> tuple[int | None, int]:
+    """Walk on from step t, whose mask over layer k+t is ``current`` (step 0
+    is the seed), appending the masks of steps t..h-1 to ``walk``. Returns
+    (the mask step h brings back to layer k, h), or (None, failing step):
+    step t fills layer k+t with everything not dominated from the previous
+    step, and an empty intermediate step cannot wrap consistently when h is
+    odd (a valid set meets every layer of an odd-period graph)."""
     h = len(steps)
     odd = h % 2 == 1
-    walk = [seed]
-    current = seed
-    for t in range(1, h + 1):
-        search.charge()
-        row = steps[(k + t - 1) % h]
+    while t < h:
+        if not current and odd and t:
+            return None, t
+        walk.append(current)
+        row = steps[(k + t) % h]
         forbidden = 0
         while current:
             j = (current & -current).bit_length() - 1
             current &= current - 1
             forbidden |= row[j]
+        t += 1
         current = ((1 << len(steps[(k + t) % h])) - 1) & ~forbidden
-        if t == h:
-            if current == seed:
-                return walk, None
-            return None, t
-        if odd and current == 0:
-            return None, t
-        walk.append(current)
-    raise AssertionError("unreachable")
+    return current, h
+
+
+def _propagate(
+    steps: list[list[int]], k: int, seed: int, search: _Search
+) -> tuple[list[int] | None, int | None]:
+    """Walk a seed (a bitmask over layer k) around the layers, charging one
+    step per layer walked; (the masks of layers k, k+1, ..., k+h-1, None) if
+    the wrap-around recomputation of layer k reproduces the seed, else
+    (None, failing step)."""
+    walk: list[int] = []
+    back, t = _walk(steps, k, 0, seed, walk)
+    search.charge(t)
+    return (walk, None) if back == seed else (None, t)
 
 
 def _walk_members(layers: Sequence[Sequence[int]], k: int, walk: list[int]) -> list[int]:
@@ -374,6 +382,9 @@ def propagate_layer_seed(
     return PropagationResult(True, union, None)
 
 
+_MEMO_LIMIT = 1 << 16  # step-1 masks remembered by one seed search
+
+
 def _iter_strong_ids(
     out_adj: tuple[tuple[int, ...], ...],
     layers: Sequence[Sequence[int]],
@@ -385,14 +396,46 @@ def _iter_strong_ids(
     Enumerates seeds over the smallest layer (ties: lowest index) in
     ascending bitmask order, bit j being the j-th smallest layer member;
     each consistent propagation is one distinct set, and every set shows up.
+    A seed costs 1 step plus the steps its :func:`_propagate` walk takes.
+    Everything after step 1 depends only on the step-1 mask, so each
+    distinct one is walked once into a memo (cleared past ``_MEMO_LIMIT``
+    entries). Step 1 comes from two half-width tables: one for the seed's
+    low ceil(w/2) bits, filled as seeds ascend, and one value for its high
+    bits, redone when the low half wraps to 0.
     """
     steps = _step_masks(out_adj, layers)
-    k = min(range(len(layers)), key=lambda i: (len(layers[i]), i))
-    for seed in range(1 << len(layers[k])):
-        search.charge()
+    h = len(layers)
+    k = min(range(h), key=lambda i: (len(layers[i]), i))
+    row = steps[k]
+    half = (len(row) + 1) // 2
+    low_bits = (1 << half) - 1
+    full = (1 << len(steps[(k + 1) % h])) - 1
+    low, high = [0], 0
+    memo: dict[int, tuple[int | None, int]] = {}
+    for seed in range(1 << len(row)):
+        lo = seed & low_bits
+        if lo == len(low):
+            low.append(low[lo & (lo - 1)] | row[(lo & -lo).bit_length() - 1])
+        elif not lo and seed:  # seed 0 has no high bits
+            high = 0
+            for j in _bits(seed >> half):
+                high |= row[half + j]
+        first = full & ~(low[lo] | high)
+        walk = None
+        outcome = memo.get(first)
+        if outcome is None:
+            if len(memo) >= _MEMO_LIMIT:
+                memo.clear()
+            walk = [seed]
+            outcome = memo[first] = _walk(steps, k, 1, first, walk)
+        back, t = outcome
+        search.charge(1 + t)
         search.stats.seeds_explored += 1
-        walk, _ = _propagate(steps, k, seed, search)
-        if walk is not None:
+        if back == seed:
+            if walk is None:
+                walk, _ = _propagate(steps, k, seed, _Search())
+                if walk is None:
+                    raise InternalError("a remembered layer walk disagrees with a fresh one")
             yield _walk_members(layers, k, walk)
 
 

@@ -147,6 +147,22 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", write_graph(gen_cycle(5)))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text", ["3 2\n0 1\n1 2\n", "3 3\n0 1\n1 2\n2 0\n"], ids=["dag", "cycle"]
+    )
+    def test_negative_budget_env_is_a_usage_error(
+        self, capsys, write_graph, monkeypatch, text
+    ):
+        monkeypatch.setenv("IDOM_BUDGET", "-1")
+        code, out, err = run(capsys, "solve", write_graph(text))
+        assert code == 2 and out == ""
+        assert err == "error: IDOM_BUDGET must be at least 0, got -1\n"
+
+    def test_zero_budget_env_is_legal(self, capsys, write_graph, monkeypatch):
+        monkeypatch.setenv("IDOM_BUDGET", "0")
+        code, out, _ = run(capsys, "solve", write_graph("3 2\n0 1\n1 2\n"))
+        assert code == 0 and "status=found set=0,2" in out
+
     def test_unexpected_exception_exit_code(self, capsys, write_graph, monkeypatch):
         def broken(graph, budget):
             raise RecursionError("maximum recursion depth exceeded")

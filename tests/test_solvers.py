@@ -5,15 +5,18 @@ import sys
 import textwrap
 import tracemalloc
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import idomlib.solvers
 import idomlib.structure
 from idomlib import (
     BudgetExceeded,
     CapExceeded,
     Digraph,
     DhkSpec,
+    InternalError,
     UndirectedGraph,
     brute_force_solve,
     cartesian_product,
@@ -252,6 +255,121 @@ class TestSolveStrongByLayers:
             assert by_layers.stats.seeds_explored == exact.stats.seeds_explored
 
 
+def seed_scan(g):
+    """solve_exact on a strongly connected graph, as the direct scan: one
+    propagate_layer_seed per seed over the smallest layer, ascending."""
+    layers = layer_decomposition(g)
+    k = min(range(layers.h), key=lambda i: (len(layers.layers[i]), i))
+    members = sorted(layers.layers[k])
+    for bits in range(1 << len(members)):
+        seed = {members[j] for j in range(len(members)) if bits >> j & 1}
+        result = propagate_layer_seed(g, layers, k, seed)
+        if result.consistent:
+            return "found", result.union, bits + 1
+    return "none", None, 1 << len(members)
+
+
+STRONG_SAMPLES = strongly_connected_samples(60, max_n=10, seed_base=8300)
+
+
+@st.composite
+def seed_search_graphs(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(STRONG_SAMPLES))
+    h = draw(st.sampled_from([3, 5, 7]))
+    size = draw(st.integers(1, {3: 5, 5: 3, 7: 2}[h]))
+    p = draw(st.sampled_from([0.1, 0.2, 0.3, 0.5]))
+    return random_layered_strong(h, size, p, draw(st.integers(0, 10**6)))
+
+
+class TestSeedSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(seed_search_graphs())
+    def test_matches_direct_scan_and_budget(self, g):
+        outcome = solve_exact(g)
+        status, union, seeds = seed_scan(g)
+        assert (outcome.status, outcome.set, outcome.stats.seeds_explored) == (
+            status, union, seeds,
+        )
+        used = outcome.stats.budget_used
+        assert solve_exact(g, budget=used).stats.budget_used == used
+        with pytest.raises(BudgetExceeded):
+            solve_exact(g, budget=used - 1)
+
+    def test_memo_cleared_at_every_walk(self, monkeypatch):
+        graphs = [
+            cartesian_product(gen_cycle(7), gen_cycle(7)),
+            gen_dhk(DhkSpec(5, 6)).graph,
+            *(random_layered_strong(3, 4, 0.3, seed) for seed in range(10)),
+        ]
+        expected = [solve_exact(g) for g in graphs]
+        monkeypatch.setattr(idomlib.solvers, "_MEMO_LIMIT", 1)
+        for g, before in zip(graphs, expected):
+            after = solve_exact(g)
+            assert (after.status, after.set) == (before.status, before.set)
+            assert after.stats.seeds_explored == before.stats.seeds_explored
+            assert after.stats.budget_used == before.stats.budget_used
+
+    def test_remembered_consistent_seed_is_walked_again(self, monkeypatch):
+        # on C_7 x C_7 the consistent seed 7 shares its step-1 mask with an
+        # earlier seed, so it comes from the memo and is walked afresh; on
+        # C_5 x C_5 the consistent seed's walk is new and is used as it is
+        calls = []
+        real = idomlib.solvers._propagate
+        monkeypatch.setattr(
+            idomlib.solvers, "_propagate", lambda *a: calls.append(a[2]) or real(*a)
+        )
+        assert solve_exact(cartesian_product(gen_cycle(5), gen_cycle(5))).found
+        assert calls == []
+        g = cartesian_product(gen_cycle(7), gen_cycle(7))
+        outcome = solve_exact(g)
+        assert outcome.found and outcome.stats.seeds_explored == 8 and calls == [7]
+        monkeypatch.setattr(idomlib.solvers, "_propagate", lambda *a: (None, 7))
+        with pytest.raises(InternalError, match="remembered layer walk"):
+            solve_exact(g)
+
+
+class TestBudget:
+    @pytest.mark.parametrize(
+        "graph, used",
+        [
+            (gen_cycle(5), 5),
+            (cartesian_product(gen_cycle(7), gen_cycle(7)), 59),
+            (cartesian_product(gen_cycle(21), gen_cycle(21)), 22509),
+            (gen_dhk(DhkSpec(5, 6)).graph, 265),
+        ],
+        ids=["C5", "C7xC7", "C21xC21", "D5,6"],
+    )
+    def test_search_budget_used(self, graph, used):
+        # a seed costs 1 step plus 1 per layer its propagation walks
+        for solve in (solve_auto, solve_exact, solve_strong_by_layers):
+            assert solve(graph).stats.budget_used == used
+
+    def test_brute_budget_used_counts_subsets(self):
+        assert brute_force_solve(gen_cycle(3)).stats.budget_used == 8
+
+    def test_constructions_use_no_budget(self):
+        for outcome in (
+            solve_dag(gen_path(4)),
+            solve_auto(gen_path(4)),
+            solve_even_period(gen_cycle(4)),
+            solve_auto(gen_cycle(4)),
+            solve_bipartite(Digraph(2, [(0, 1)])),
+        ):
+            assert outcome.stats.budget_used == 0
+
+    def test_negative_budget_rejected(self):
+        for solve in (solve_exact, solve_strong_by_layers, brute_force_solve):
+            with pytest.raises(ValueError, match="at least 0, got -1"):
+                solve(gen_cycle(5), budget=-1)
+
+    def test_zero_budget(self):
+        outcome = solve_exact(gen_path(3), budget=0)
+        assert outcome.set == {0, 2} and outcome.stats.budget_used == 0
+        with pytest.raises(BudgetExceeded):
+            solve_exact(gen_cycle(5), budget=0)
+
+
 class TestSolveExact:
     def test_wheel_times_paw_has_none(self):
         g = cartesian_product(gen_wheel(3), gen_paw())
@@ -391,6 +509,21 @@ class TestMemory:
             tracemalloc.stop()
         assert outcome.status == "none"
         assert peak < 5_000_000
+
+    def test_layered_none_search_memory_is_bounded(self):
+        # 32,768 seeds over 99,558 steps: a table kept per seed would take
+        # over 1 MB, the half-width tables and the step-1 memo far less
+        g = random_layered_strong(3, 15, 0.3, 0)
+        tracemalloc.start()
+        try:
+            outcome = solve_auto(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome.status == "none"
+        assert outcome.stats.seeds_explored == 32768
+        assert outcome.stats.budget_used == 99558
+        assert peak < 500_000
 
 
 class TestVerificationSurvivesOptimize:
