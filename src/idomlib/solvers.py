@@ -129,19 +129,22 @@ def _finish_none(method: str, stats: SolverStats, t0: float) -> SolveOutcome:
 
 
 def _take(
-    out_adj: tuple[tuple[int, ...], ...],
+    out_adj: Sequence[Sequence[int]],
+    counted: Sequence[Sequence[int]],
     alive: bytearray,
     indeg: list[int],
     worklist: list[int],
     trail: list[int],
 ) -> list[int]:
     """Take the worklist's vertices, deleting each with its out-neighbors,
-    and keep taking every vertex the deletions leave without an alive
-    in-neighbor: the source closure, as a queue of in-degree counters
-    (Kahn 1962), O(vertices deleted + their out-arcs).
+    and keep taking every vertex the deletions leave with a count of 0: the
+    source closure, as a queue of in-degree counters (Kahn 1962),
+    O(vertices deleted + their out-arcs).
 
-    ``indeg[v]`` counts the alive in-neighbors of ``v``; deleted vertices are
-    appended to ``trail`` so :func:`_restore` can undo them. A source can
+    Deletions follow ``out_adj``; ``indeg[v]`` counts the alive
+    in-neighbors of ``v`` along ``counted``, a part of ``out_adj`` (all of
+    it for the source closure). Deleted vertices are appended to ``trail``
+    so :func:`_restore` can undo them. When every arc counts, a source can
     only dominate itself, so it is in every independent dominating set, and
     the result does not depend on the order in which sources are taken.
     Returns the vertices taken.
@@ -156,7 +159,7 @@ def _take(
             if alive[t]:
                 alive[t] = 0
                 trail.append(t)
-                for x in out_adj[t]:
+                for x in counted[t]:
                     indeg[x] -= 1
                     if not indeg[x] and alive[x]:
                         worklist.append(x)
@@ -164,7 +167,7 @@ def _take(
 
 
 def _restore(
-    out_adj: tuple[tuple[int, ...], ...],
+    counted: Sequence[Sequence[int]],
     alive: bytearray,
     indeg: list[int],
     trail: list[int],
@@ -174,7 +177,7 @@ def _restore(
     while len(trail) > mark:
         t = trail.pop()
         alive[t] = 1
-        for x in out_adj[t]:
+        for x in counted[t]:
             indeg[x] += 1
 
 
@@ -184,7 +187,27 @@ def _source_closure(graph: Digraph) -> tuple[list[int], bytearray, list[int], li
     indeg = [len(us) for us in graph.in_adj]
     trail: list[int] = []
     sources = [v for v in range(graph.n) if not indeg[v]]
-    return _take(graph.out_adj, alive, indeg, sources, trail), alive, indeg, trail
+    return _take(graph.out_adj, graph.out_adj, alive, indeg, sources, trail), alive, indeg, trail
+
+
+def _kernel(graph: Digraph) -> list[int] | None:
+    """The closure that counts only asymmetric in-arcs (those whose reverse
+    is absent): its taken vertices if it deletes the whole graph, else None;
+    O(n + m). They are independent: if u is taken after w and u -> w, the
+    arc is symmetric (else w's count was not 0), so u was deleted with w.
+    The closure deletes everything when every directed cycle has a
+    symmetric arc (Duchet 1980: such a graph and its reverse have kernels).
+    """
+    out_adj, in_adj = graph.out_adj, graph.in_adj
+    counted = [
+        tuple(w for w in ws if w not in back) for ws, back in zip(out_adj, map(set, in_adj))
+    ]
+    # v has as many symmetric in-arcs as symmetric out-arcs
+    indeg = [len(in_adj[v]) - len(out_adj[v]) + len(counted[v]) for v in range(graph.n)]
+    alive, trail = bytearray(b"\x01") * graph.n, []
+    sources = [v for v in range(graph.n) if not indeg[v]]
+    taken = _take(out_adj, counted, alive, indeg, sources, trail)
+    return taken if len(trail) == graph.n else None
 
 
 def forced_sources_closure(graph: Digraph) -> tuple[frozenset[int], Digraph, tuple[int, ...]]:
@@ -447,12 +470,13 @@ def solve_strong_by_layers(graph: Digraph, budget: int | None = None) -> SolveOu
     h layers, and reports the first consistent set or that none exists: on a
     strongly connected graph that is exactly one level of :func:`solve_exact`.
     """
+    search = _Search(budget)  # rejects a negative budget on every path
     analysis = _analyze(graph)
     if not analysis.strong:
         raise ValueError("graph is not strongly connected")
     if analysis.strong_period() % 2 == 0:
         return _solve_even_period(graph, analysis)
-    return _solve_exact(graph, analysis, budget, "layers")
+    return _solve_exact(graph, analysis, search, "layers")
 
 
 def _exact(graph: Digraph, analysis: _Analysis, search: _Search) -> list[int] | None:
@@ -532,16 +556,15 @@ def _exact(graph: Digraph, analysis: _Analysis, search: _Search) -> list[int] | 
                 stack.pop()
                 continue
             # the target lies inside the candidate's closed out-neighborhood
-            taken += _take(out_adj, alive, indeg, candidate, trail)
+            taken += _take(out_adj, out_adj, alive, indeg, candidate, trail)
             sources = sources_after(trail[trail_mark:], others)
             search.stats.recursion_depth = max(search.stats.recursion_depth, len(stack) + 1)
 
 
 def _solve_exact(
-    graph: Digraph, analysis: _Analysis, budget: int | None, method: str = "exact"
+    graph: Digraph, analysis: _Analysis, search: _Search, method: str = "exact"
 ) -> SolveOutcome:
     t0 = time.perf_counter()
-    search = _Search(budget)
     solution = _exact(graph, analysis, search)
     if solution is None:
         return _finish_none(method, search.stats, t0)
@@ -556,19 +579,29 @@ def solve_exact(graph: Digraph, budget: int | None = None) -> SolveOutcome:
     component can only be dominated from within), recursing on what is left
     undominated. Sound and complete; only the step budget can stop it early.
     """
-    return _solve_exact(graph, _analyze(graph), budget)
+    search = _Search(budget)
+    return _solve_exact(graph, _analyze(graph), search)
 
 
 def solve_auto(graph: Digraph, budget: int | None = None) -> SolveOutcome:
-    """Dispatch by structure: acyclic and even-period graphs have fast
+    """Dispatch by structure: acyclic graphs, even-period strongly connected
+    graphs and graphs whose asymmetric arcs are acyclic have linear-time
     constructions; everything else goes through the exact solver. The
     structure is analyzed once and shared with the chosen solver."""
+    search = _Search(budget)  # rejects a negative budget on every path
     analysis = _analyze(graph)
     if analysis.period == 0:
         return _solve_dag(graph, analysis)
     if analysis.strong and analysis.periods[0] % 2 == 0:
         return _solve_even_period(graph, analysis)
-    return _solve_exact(graph, analysis, budget)
+    # the closure always succeeds when every cycle has a symmetric arc, which
+    # a component of period 3 or more, having no 2-cycle, rules out
+    if max(analysis.periods) <= 2:
+        t0 = time.perf_counter()
+        kernel = _kernel(graph)
+        if kernel is not None:
+            return _finish_found(graph, kernel, "symmetric-arc", SolverStats(), t0)
+    return _solve_exact(graph, analysis, search)
 
 
 def _ids_mask(out_masks: tuple[int, ...], full: int, mask: int) -> bool:

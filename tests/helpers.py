@@ -139,3 +139,34 @@ def digraphs_with_subset(draw, max_n: int = 7):
         return graph, frozenset()
     members = draw(st.lists(st.integers(0, graph.n - 1), unique=True))
     return graph, frozenset(members)
+
+
+@st.composite
+def symmetric_arc_digraphs(draw, max_n: int = 11):
+    """Digraphs whose asymmetric arcs are acyclic: random undirected edges,
+    each doubled or oriented along a random vertex order."""
+    n = draw(st.integers(1, max_n))
+    rank = draw(st.permutations(range(n)))
+    pairs = [(u, v) for u in range(n) for v in range(n) if rank[u] < rank[v]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    doubled = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    arcs = [arc for (u, v), both in zip(edges, doubled) for arc in [(u, v)] + [(v, u)] * both]
+    return Digraph(n, arcs)
+
+
+@st.composite
+def odd_cycle_free_digraphs(draw, max_n: int = 11):
+    """Digraphs with no odd cycle, i.e. every component has an even period:
+    arcs go down between blocks, or inside a block between its two
+    colours, so every cycle stays in one block and alternates colours."""
+    n = draw(st.integers(1, max_n))
+    block = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    colour = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    pairs = [
+        (u, v)
+        for u in range(n)
+        for v in range(n)
+        if block[u] > block[v] or (block[u] == block[v] and colour[u] != colour[v])
+    ]
+    arcs = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Digraph(n, arcs)

@@ -30,9 +30,11 @@ from idomlib import (
     gen_wheel,
     idomatic_brute,
     is_ids,
+    is_strongly_connected,
     layer_decomposition,
     min_dom_size_brute,
     min_ids_size_brute,
+    period,
     propagate_layer_seed,
     random_dag,
     random_layered_strong,
@@ -51,7 +53,9 @@ from helpers import (
     antiparallel_chain,
     closure_by_rounds,
     digraphs,
+    odd_cycle_free_digraphs,
     strongly_connected_samples,
+    symmetric_arc_digraphs,
 )
 
 OUT_STAR = Digraph(4, [(0, 1), (0, 2), (0, 3)])
@@ -363,11 +367,31 @@ class TestBudget:
             with pytest.raises(ValueError, match="at least 0, got -1"):
                 solve(gen_cycle(5), budget=-1)
 
+    # one graph per dispatch path of solve_auto: acyclic, even period,
+    # symmetric arcs, search
+    DISPATCH = [gen_path(3), gen_cycle(4), antiparallel_chain(3), gen_cycle(5)]
+
+    def test_negative_budget_rejected_on_every_path(self):
+        for g in self.DISPATCH:
+            with pytest.raises(ValueError, match="at least 0, got -1"):
+                solve_auto(g, budget=-1)
+        for solve in (solve_exact, brute_force_solve):
+            with pytest.raises(ValueError, match="at least 0, got -1"):
+                solve(gen_path(3), budget=-1)
+        # even period: delegated to the construction, which does not search
+        with pytest.raises(ValueError, match="at least 0, got -1"):
+            solve_strong_by_layers(gen_cycle(4), budget=-1)
+
     def test_zero_budget(self):
         outcome = solve_exact(gen_path(3), budget=0)
         assert outcome.set == {0, 2} and outcome.stats.budget_used == 0
         with pytest.raises(BudgetExceeded):
             solve_exact(gen_cycle(5), budget=0)
+        for g in self.DISPATCH[:3]:
+            assert solve_auto(g, budget=0).found
+        assert solve_strong_by_layers(gen_cycle(4), budget=0).found
+        with pytest.raises(BudgetExceeded):  # legal, but a subset costs one
+            brute_force_solve(Digraph(0), budget=0)
 
 
 class TestSolveExact:
@@ -467,6 +491,60 @@ class TestSolveAuto:
             g = random_digraph(1 + seed % 9, 0.25, seed=7000 + seed)
             assert solve_auto(g).status == solve_exact(g).status
 
+    def test_symmetric_arc_falls_back_to_the_search(self):
+        # a triangle with a 2-cycle on vertex 0 has period 1; every vertex
+        # has an asymmetric in-arc, so the closure cannot start and the
+        # search decides it, unless one of the triangle's arcs is doubled
+        arcs = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 0), (1, 3)]
+        g = Digraph(4, arcs)
+        outcome = solve_auto(g)
+        assert outcome.method == "exact"
+        assert outcome.status == brute_force_solve(g).status
+        outcome = solve_auto(Digraph(4, arcs + [(1, 0)]))
+        assert outcome.method == "symmetric-arc" and outcome.found
+
+
+class TestKernelPerfect:
+    """Digraphs that always have a set: every cycle has a symmetric arc
+    (Duchet 1980), or there is no odd cycle (Richardson 1953)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(symmetric_arc_digraphs())
+    def test_symmetric_arc_agrees_with_brute(self, g):
+        outcome = solve_auto(g)
+        assert outcome.found and is_ids(g, outcome.set).ids
+        assert brute_force_solve(g).found
+        h = period(g)
+        if h == 0:
+            assert outcome.method == "dag-greedy"
+        elif h % 2 == 0 and is_strongly_connected(g):
+            assert outcome.method == "even-period"
+        else:  # e.g. every doubled undirected graph with an odd cycle
+            assert outcome.method == "symmetric-arc"
+        assert outcome.stats.seeds_explored == outcome.stats.budget_used == 0
+
+    @settings(max_examples=250, deadline=None)
+    @given(odd_cycle_free_digraphs())
+    def test_odd_cycle_free_never_backtracks(self, g):
+        # on an even-period component the empty seed is always consistent,
+        # so every level of the search succeeds with its first seed
+        assert solve_auto(g).found
+        outcome = solve_exact(g)
+        assert outcome.found
+        assert outcome.stats.seeds_explored == outcome.stats.recursion_depth - 1
+
+    def test_odd_cycle_free_seeds_can_exceed_the_sccs(self):
+        # two 2-cycles {2, 3} and {4, 5} joined into one component through
+        # 6 and 7, both of which the 2-cycle {0, 1} dominates: deleting them
+        # splits the component in two, so 2 SCCs take 3 seeds
+        arcs = [(0, 1), (1, 0), (2, 3), (3, 2), (4, 5), (5, 4), (3, 6), (6, 4), (5, 7),
+                (7, 2), (0, 6), (0, 7), (1, 6), (1, 7)]
+        g = Digraph(8, arcs)
+        outcome = solve_exact(g)
+        assert len(idomlib.structure.sccs(g).components) == 2
+        assert outcome.found and outcome.stats.seeds_explored == 3
+        assert outcome.stats.recursion_depth == 4
+
 
 class TestOneStructurePass:
     @pytest.mark.parametrize(
@@ -475,8 +553,9 @@ class TestOneStructurePass:
             gen_cycle(10),
             cartesian_product(gen_cycle(5), gen_cycle(5)),
             random_dag(40, 0.1, seed=3),
+            antiparallel_chain(50),
         ],
-        ids=["cycle", "odd-torus", "dag"],
+        ids=["cycle", "odd-torus", "dag", "chain"],
     )
     def test_solve_auto_computes_sccs_once(self, graph, monkeypatch):
         calls = []
@@ -491,10 +570,14 @@ class TestOneStructurePass:
 class TestDeepChains:
     def test_1200_pair_chain(self):
         g = antiparallel_chain(1200)
-        outcome = solve_auto(g)
+        outcome = solve_exact(g)
         assert outcome.found and outcome.method == "exact"
         assert is_ids(g, outcome.set).ids
         assert outcome.stats.recursion_depth == 1201
+        outcome = solve_auto(g)
+        assert outcome.found and outcome.method == "symmetric-arc"
+        assert is_ids(g, outcome.set).ids
+        assert outcome.stats.seeds_explored == 0
 
 
 class TestMemory:
@@ -528,19 +611,26 @@ class TestMemory:
 
 class TestVerificationSurvivesOptimize:
     def test_invalid_set_rejected_under_python_O(self):
-        # a closure that forces two adjacent vertices makes solve_dag
-        # return an invalid set, which the verification must still catch
+        # a closure that takes two adjacent vertices makes solve_dag and the
+        # symmetric-arc branch of solve_auto return an invalid set, which
+        # the verification must still catch
         script = textwrap.dedent(
             """
             import idomlib.solvers as solvers
-            from idomlib import gen_path
+            from idomlib import Digraph, gen_path
 
-            real = solvers.forced_sources_closure
-            solvers.forced_sources_closure = lambda g: ({0, 1}, *real(g)[1:])
+            real = solvers._source_closure
+            solvers._source_closure = lambda g: ([0, 1], *real(g)[1:])
             try:
                 solvers.solve_dag(gen_path(3))
             except solvers.InternalError as exc:
                 print("rejected", __debug__, exc)
+
+            solvers._kernel = lambda g: [0, 1]
+            try:
+                solvers.solve_auto(Digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2), (2, 0)]))
+            except solvers.InternalError as exc:
+                print("symmetric-arc rejected", __debug__, exc)
 
             import idomlib.generators as generators
             generators.is_ids = lambda graph, members: solvers.is_ids(graph, {0, 1})
@@ -558,6 +648,7 @@ class TestVerificationSurvivesOptimize:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.startswith("rejected False")
+        assert "symmetric-arc rejected False method 'symmetric-arc'" in result.stdout
         assert "generation rejected:" in result.stdout
 
 
