@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import count
 from typing import Iterable, Iterator, Sequence
 
 from .digraph import Digraph, induced_subgraph, is_ids
-from .structure import LayerDecomposition, _analyze, _Analysis, _period_layers, _tarjan
+from .structure import LayerDecomposition, _analyze, _Analysis, sccs
 
 __all__ = [
     "BudgetExceeded",
@@ -134,7 +133,6 @@ def _take(
     alive: bytearray,
     indeg: list[int],
     worklist: list[int],
-    trail: list[int],
 ) -> list[int]:
     """Take the worklist's vertices, deleting each with its out-neighbors,
     and keep taking every vertex the deletions leave with a count of 0: the
@@ -143,10 +141,9 @@ def _take(
 
     Deletions follow ``out_adj``; ``indeg[v]`` counts the alive
     in-neighbors of ``v`` along ``counted``, a part of ``out_adj`` (all of
-    it for the source closure). Deleted vertices are appended to ``trail``
-    so :func:`_restore` can undo them. When every arc counts, a source can
-    only dominate itself, so it is in every independent dominating set, and
-    the result does not depend on the order in which sources are taken.
+    it for the source closure). When every arc counts, a source can only
+    dominate itself, so it is in every independent dominating set, and the
+    result does not depend on the order in which sources are taken.
     Returns the vertices taken.
     """
     taken = []
@@ -158,7 +155,6 @@ def _take(
         for t in (s, *out_adj[s]):
             if alive[t]:
                 alive[t] = 0
-                trail.append(t)
                 for x in counted[t]:
                     indeg[x] -= 1
                     if not indeg[x] and alive[x]:
@@ -166,28 +162,12 @@ def _take(
     return taken
 
 
-def _restore(
-    counted: Sequence[Sequence[int]],
-    alive: bytearray,
-    indeg: list[int],
-    trail: list[int],
-    mark: int,
-) -> None:
-    """Undo the deletions recorded in ``trail`` after position ``mark``."""
-    while len(trail) > mark:
-        t = trail.pop()
-        alive[t] = 1
-        for x in counted[t]:
-            indeg[x] += 1
-
-
-def _source_closure(graph: Digraph) -> tuple[list[int], bytearray, list[int], list[int]]:
-    """The source closure of the whole graph: (taken, alive, indeg, trail)."""
+def _source_closure(graph: Digraph) -> tuple[list[int], bytearray]:
+    """The source closure of the whole graph: (taken, alive)."""
     alive = bytearray(b"\x01") * graph.n
     indeg = [len(us) for us in graph.in_adj]
-    trail: list[int] = []
     sources = [v for v in range(graph.n) if not indeg[v]]
-    return _take(graph.out_adj, graph.out_adj, alive, indeg, sources, trail), alive, indeg, trail
+    return _take(graph.out_adj, graph.out_adj, alive, indeg, sources), alive
 
 
 def _kernel(graph: Digraph) -> list[int] | None:
@@ -204,10 +184,10 @@ def _kernel(graph: Digraph) -> list[int] | None:
     ]
     # v has as many symmetric in-arcs as symmetric out-arcs
     indeg = [len(in_adj[v]) - len(out_adj[v]) + len(counted[v]) for v in range(graph.n)]
-    alive, trail = bytearray(b"\x01") * graph.n, []
+    alive = bytearray(b"\x01") * graph.n
     sources = [v for v in range(graph.n) if not indeg[v]]
-    taken = _take(out_adj, counted, alive, indeg, sources, trail)
-    return taken if len(trail) == graph.n else None
+    taken = _take(out_adj, counted, alive, indeg, sources)
+    return None if any(alive) else taken
 
 
 def forced_sources_closure(graph: Digraph) -> tuple[frozenset[int], Digraph, tuple[int, ...]]:
@@ -218,7 +198,7 @@ def forced_sources_closure(graph: Digraph) -> tuple[frozenset[int], Digraph, tup
     Returns (forced set in original ids, source-free residual, old-id map).
     O(n + m).
     """
-    taken, alive, _, _ = _source_closure(graph)
+    taken, alive = _source_closure(graph)
     residual, old_ids = induced_subgraph(graph, (v for v in range(graph.n) if alive[v]))
     return frozenset(taken), residual, old_ids
 
@@ -300,7 +280,7 @@ def solve_bipartite(graph: Digraph) -> SolveOutcome:
     """
     t0 = time.perf_counter()
     color = _two_coloring(graph)
-    forced, alive, _, _ = _source_closure(graph)
+    forced, alive = _source_closure(graph)
     side = [v for v in range(graph.n) if alive[v] and color[v] == 0]
     return _finish_found(graph, forced + side, "bipartite", SolverStats(), t0)
 
@@ -408,17 +388,17 @@ def propagate_layer_seed(
 _MEMO_LIMIT = 1 << 16  # step-1 masks remembered by one seed search
 
 
-def _iter_strong_ids(
+def _first_strong_ids(
     out_adj: tuple[tuple[int, ...], ...],
     layers: Sequence[Sequence[int]],
     search: _Search,
-) -> Iterator[list[int]]:
-    """All independent dominating sets of the strongly connected subgraph
-    with these layers (each ascending).
+) -> list[int] | None:
+    """The first independent dominating set of the strongly connected
+    subgraph with these layers (each ascending), or None if it has none.
 
-    Enumerates seeds over the smallest layer (ties: lowest index) in
-    ascending bitmask order, bit j being the j-th smallest layer member;
-    each consistent propagation is one distinct set, and every set shows up.
+    Scans seeds over the smallest layer (ties: lowest index) in ascending
+    bitmask order, bit j being the j-th smallest layer member; each
+    consistent propagation is one distinct set, and every set shows up.
     A seed costs 1 step plus the steps its :func:`_propagate` walk takes.
     Everything after step 1 depends only on the step-1 mask, so each
     distinct one is walked once into a memo (cleared past ``_MEMO_LIMIT``
@@ -459,7 +439,8 @@ def _iter_strong_ids(
                 walk, _ = _propagate(steps, k, seed, _Search())
                 if walk is None:
                     raise InternalError("a remembered layer walk disagrees with a fresh one")
-            yield _walk_members(layers, k, walk)
+            return _walk_members(layers, k, walk)
+    return None
 
 
 def solve_strong_by_layers(graph: Digraph, budget: int | None = None) -> SolveOutcome:
@@ -467,8 +448,7 @@ def solve_strong_by_layers(graph: Digraph, budget: int | None = None) -> SolveOu
 
     Even period delegates to the even-layer construction. Odd period
     enumerates at most 2^{|smallest layer|} seeds, each propagated around the
-    h layers, and reports the first consistent set or that none exists: on a
-    strongly connected graph that is exactly one level of :func:`solve_exact`.
+    h layers, and reports the first consistent set or that none exists.
     """
     search = _Search(budget)  # rejects a negative budget on every path
     analysis = _analyze(graph)
@@ -476,111 +456,201 @@ def solve_strong_by_layers(graph: Digraph, budget: int | None = None) -> SolveOu
         raise ValueError("graph is not strongly connected")
     if analysis.strong_period() % 2 == 0:
         return _solve_even_period(graph, analysis)
-    return _solve_exact(graph, analysis, search, "layers")
+    t0 = time.perf_counter()
+    stats = search.stats
+    stats.recursion_depth = 1
+    members = _first_strong_ids(graph.out_adj, analysis.layers[0], search)
+    if members is None:
+        return _finish_none("layers", stats, t0)
+    stats.recursion_depth = 2
+    return _finish_found(graph, members, "layers", stats, t0)
 
 
-def _exact(graph: Digraph, analysis: _Analysis, search: _Search) -> list[int] | None:
-    """Depth-first search over alive flags of ``graph`` (one byte per
-    vertex), with an explicit stack; see :func:`solve_exact`.
+_IN, _OUT = 1, 2  # vertex states of _exact; 0 is undecided
 
-    Each level deletes a candidate's closed out-neighborhood and the source
-    closure that follows. Deleting vertices never merges components, so the
-    residual's source components are recomputed only inside the original
-    components that lost a vertex or an in-neighbor; the others keep those
-    of the level above. Backtracking undoes the trail of deletions.
+
+def _exact(
+    graph: Digraph, comps: Sequence[tuple[int, ...]], search: _Search
+) -> list[int] | None:
+    """Depth-first search over per-vertex states (undecided, in, out) with
+    unit propagation and an explicit stack; see :func:`solve_exact`.
+    ``comps`` are the strongly connected components in reverse topological
+    order, as :func:`sccs` lists them.
+
+    ``dom[v]`` counts v's in-neighbors that are in and ``cand[v]`` its
+    undecided ones. An in vertex forces its in- and out-neighbors out. An
+    undominated vertex that is not in must be dominated by one of its
+    options: itself while undecided, and its undecided in-neighbors; with
+    none left that is a conflict, and a single one goes in. Sources start
+    in, so the first propagation is the source closure.
+
+    Each level branches, in before out, on an undominated vertex of the
+    earliest component in topological order that still has one. Out
+    vertices come first (on their lowest undecided in-neighbor), then
+    undecided ones (on themselves); ties go to the fewest options, then the
+    lowest id. An undominated out vertex is an in-neighbor of an in vertex,
+    so in a component with no odd cycle its options lie on that vertex's
+    side: decisions stay on one side until none is left undominated, and a
+    graph with no odd cycle never backtracks. Assignments only ever
+    dominate more, so a cursor kept per level finds the component.
+    Backtracking undoes a trail of assignments. A budget step is one
+    assignment below the root; the root propagation is linear, like the
+    analysis.
     """
     n = graph.n
     out_adj, in_adj = graph.out_adj, graph.in_adj
-    comp_of, comps = analysis.scc.component_of, analysis.scc.components
-    taken, alive, indeg, trail = _source_closure(graph)
-    index, low, label = [n] * n, [0] * n, [0] * n  # scratch for _tarjan and labels
-    stamps = count(1)
+    state = bytearray(n)
+    dom = [0] * n
+    cand = [len(us) for us in in_adj]
+    trail: list[int] = []
+    stats = search.stats
 
-    def label_fresh(comp: Sequence[int]) -> int:
-        stamp = next(stamps)
-        for v in comp:
-            label[v] = stamp
-        return stamp
+    def propagate(pending: list[int]) -> bool:
+        """Apply the pending assignments (v: in, ~v: out) and all they
+        force, appending them to the trail; False on a conflict."""
+        while pending:
+            v = pending.pop()
+            if v >= 0:
+                s = state[v]
+                if s == _OUT:
+                    return False
+                if s:
+                    continue
+                state[v] = _IN
+                trail.append(v)
+                ok = True
+                for w in out_adj[v]:
+                    dom[w] += 1
+                    cand[w] -= 1
+                    s = state[w]
+                    if not s:
+                        pending.append(~w)
+                    elif s == _IN:
+                        ok = False
+                for u in in_adj[v]:
+                    s = state[u]
+                    if not s:
+                        pending.append(~u)
+                    elif s == _IN:
+                        ok = False
+                if not ok:
+                    return False
+                continue
+            v = ~v
+            s = state[v]
+            if s == _IN:
+                return False
+            if s:
+                continue
+            state[v] = _OUT
+            trail.append(v)
+            # v and its out-neighbors lost an option; an undominated vertex
+            # left with none is a conflict, and with one it needs that one
+            ok = True
+            if not dom[v]:
+                k = cand[v]
+                if k == 1:
+                    for u in in_adj[v]:
+                        if not state[u]:
+                            pending.append(u)
+                            break
+                elif not k:
+                    ok = False
+            for w in out_adj[v]:
+                k = cand[w] = cand[w] - 1
+                if dom[w]:
+                    continue
+                s = state[w]
+                if not s:
+                    if not k:  # itself
+                        pending.append(w)
+                elif s == _OUT:
+                    if k == 1:
+                        for u in in_adj[w]:
+                            if not state[u]:
+                                pending.append(u)
+                                break
+                    elif not k:
+                        ok = False
+            if not ok:
+                return False
+        return True
 
-    def is_source(comp: Sequence[int], labels: Sequence[int], c: int) -> bool:
-        """Whether no alive vertex outside ``comp`` (labelled ``c``) has an
-        arc into it; after the closure no single vertex is a source."""
-        return len(comp) >= 2 and all(
-            labels[u] == c or not alive[u] for v in comp for u in in_adj[v]
-        )
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            v = trail.pop()
+            if state[v] == _IN:
+                for w in out_adj[v]:
+                    dom[w] -= 1
+                    cand[w] += 1
+            else:
+                for w in out_adj[v]:
+                    cand[w] += 1
+            state[v] = 0
 
-    def sources_after(
-        deleted: list[int], kept: Iterable[tuple[int, ...]]
-    ) -> list[tuple[int, ...]]:
-        """Source components of the residual after ``deleted`` went: those of
-        ``kept`` (the sources before) in untouched original components, and
-        the sources found by recomputing the components of the touched ones,
-        which lost a vertex or an in-neighbor."""
-        touched = {comp_of[t] for t in deleted}
-        touched.update(comp_of[x] for t in deleted for x in out_adj[t])
-        found = [comp for comp in kept if comp_of[comp[0]] not in touched]
-        members = [v for c in touched for v in comps[c] if alive[v]]
-        for v in members:
-            index[v] = -1
-        for comp in _tarjan(out_adj, members, index, low):
-            if is_source(comp, label, label_fresh(comp)):
-                found.append(comp)
-        return found
-
-    original = [comp for c, comp in enumerate(comps) if is_source(comp, comp_of, c)]
-    sources = sources_after(trail, original)
-    search.stats.recursion_depth = 1
-    # frame: candidate iterator, the other sources, trail and taken lengths
-    stack: list[tuple[Iterator[list[int]], list[tuple[int, ...]], int, int]] = []
+    if not propagate([v for v in range(n) if not cand[v]]):
+        return None
+    stats.recursion_depth = 1
+    cursor = len(comps) - 1
+    # frame: [branch vertex, trail length, cursor, alternatives left]
+    stack: list[list[int]] = []
     while True:
-        if not sources:  # an empty residual: every vertex is dominated
-            return taken
-        target = min(sources)  # the one with the lowest vertex
-        c = comp_of[target[0]]
-        if len(target) == len(comps[c]):  # still the whole original component
-            layers = analysis.layers[c]
-        else:
-            _, layers = _period_layers(out_adj, target, label, label_fresh(target))
-        others = [comp for comp in sources if comp is not target]
-        candidates = _iter_strong_ids(out_adj, layers, search)
-        stack.append((candidates, others, len(trail), len(taken)))
-        sources = None
-        while sources is None:
+        best, fewest = -1, 2 * n + 2
+        while cursor >= 0:
+            for v in comps[cursor]:
+                s = state[v]
+                if s != _IN and not dom[v]:
+                    k = cand[v] if s else n + 1 + cand[v]  # out vertices first
+                    if k < fewest:
+                        best, fewest = v, k
+            if best >= 0:
+                break
+            cursor -= 1
+        if best < 0:  # every vertex is in or dominated
+            return [v for v in range(n) if state[v] == _IN]
+        if state[best]:
+            best = next(u for u in in_adj[best] if not state[u])
+        stack.append([best, len(trail), cursor, 2])
+        while True:
             if not stack:
                 return None
-            candidates, others, trail_mark, taken_mark = stack[-1]
-            _restore(out_adj, alive, indeg, trail, trail_mark)
-            del taken[taken_mark:]
-            candidate = next(candidates, None)
-            if candidate is None:
+            frame = stack[-1]
+            best, mark, cursor, left = frame
+            undo(mark)
+            if not left:
                 stack.pop()
                 continue
-            # the target lies inside the candidate's closed out-neighborhood
-            taken += _take(out_adj, out_adj, alive, indeg, candidate, trail)
-            sources = sources_after(trail[trail_mark:], others)
-            search.stats.recursion_depth = max(search.stats.recursion_depth, len(stack) + 1)
+            frame[3] = left - 1
+            stats.seeds_explored += 1
+            ok = propagate([best if left == 2 else ~best])
+            search.charge(len(trail) - mark)
+            if ok:
+                stats.recursion_depth = max(stats.recursion_depth, len(stack) + 1)
+                break
 
 
 def _solve_exact(
-    graph: Digraph, analysis: _Analysis, search: _Search, method: str = "exact"
+    graph: Digraph, comps: Sequence[tuple[int, ...]], search: _Search
 ) -> SolveOutcome:
     t0 = time.perf_counter()
-    solution = _exact(graph, analysis, search)
+    solution = _exact(graph, comps, search)
     if solution is None:
-        return _finish_none(method, search.stats, t0)
-    return _finish_found(graph, solution, method, search.stats, t0)
+        return _finish_none("exact", search.stats, t0)
+    return _finish_found(graph, solution, "exact", search.stats, t0)
 
 
 def solve_exact(graph: Digraph, budget: int | None = None) -> SolveOutcome:
     """Complete decision procedure for any digraph.
 
-    Takes the forced sources, then branches on the independent dominating
-    sets of a source component of the residual's condensation (that
-    component can only be dominated from within), recursing on what is left
-    undominated. Sound and complete; only the step budget can stop it early.
+    Starts from the sources, which are in every independent dominating set,
+    and branches vertex by vertex, each choice followed by everything it
+    forces. Sound and complete; only the step budget can stop it early.
+    ``seeds_explored`` counts the branch alternatives tried and
+    ``recursion_depth`` is the deepest decision level + 1, so they differ
+    by exactly 1 when no branch failed.
     """
     search = _Search(budget)
-    return _solve_exact(graph, _analyze(graph), search)
+    return _solve_exact(graph, sccs(graph).components, search)
 
 
 def solve_auto(graph: Digraph, budget: int | None = None) -> SolveOutcome:
@@ -601,7 +671,7 @@ def solve_auto(graph: Digraph, budget: int | None = None) -> SolveOutcome:
         kernel = _kernel(graph)
         if kernel is not None:
             return _finish_found(graph, kernel, "symmetric-arc", SolverStats(), t0)
-    return _solve_exact(graph, analysis, search)
+    return _solve_exact(graph, analysis.scc.components, search)
 
 
 def _ids_mask(out_masks: tuple[int, ...], full: int, mask: int) -> bool:

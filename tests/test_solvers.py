@@ -37,6 +37,7 @@ from idomlib import (
     period,
     propagate_layer_seed,
     random_dag,
+    random_digraph,
     random_layered_strong,
     random_oriented_bipartite,
     solve_auto,
@@ -243,7 +244,8 @@ class TestSolveStrongByLayers:
             solve_strong_by_layers(gen_path(3))
 
     def test_matches_exact_on_odd_period(self):
-        # on a strongly connected graph the seed search is one level of _exact
+        # the seed search gives the direct scan's set and seed count, and the
+        # per-vertex search of solve_exact the same verdict
         samples = [
             g for g in strongly_connected_samples(40, seed_base=6100)
             if layer_decomposition(g).h % 2 == 1
@@ -255,13 +257,16 @@ class TestSolveStrongByLayers:
         for g in samples:
             by_layers, exact = solve_strong_by_layers(g), solve_exact(g)
             assert by_layers.method == "layers"
-            assert (by_layers.status, by_layers.set) == (exact.status, exact.set)
-            assert by_layers.stats.seeds_explored == exact.stats.seeds_explored
+            assert (
+                by_layers.status, by_layers.set, by_layers.stats.seeds_explored
+            ) == seed_scan(g)
+            assert by_layers.status == exact.status
 
 
 def seed_scan(g):
-    """solve_exact on a strongly connected graph, as the direct scan: one
-    propagate_layer_seed per seed over the smallest layer, ascending."""
+    """solve_strong_by_layers on an odd-period strongly connected graph, as
+    the direct scan: one propagate_layer_seed per seed over the smallest
+    layer, ascending."""
     layers = layer_decomposition(g)
     k = min(range(layers.h), key=lambda i: (len(layers.layers[i]), i))
     members = sorted(layers.layers[k])
@@ -290,15 +295,18 @@ class TestSeedSearch:
     @settings(max_examples=200, deadline=None)
     @given(seed_search_graphs())
     def test_matches_direct_scan_and_budget(self, g):
-        outcome = solve_exact(g)
+        if layer_decomposition(g).h % 2 == 0:  # delegated to the even layers
+            assert solve_strong_by_layers(g).method == "even-period"
+            return
+        outcome = solve_strong_by_layers(g)
         status, union, seeds = seed_scan(g)
         assert (outcome.status, outcome.set, outcome.stats.seeds_explored) == (
             status, union, seeds,
         )
         used = outcome.stats.budget_used
-        assert solve_exact(g, budget=used).stats.budget_used == used
+        assert solve_strong_by_layers(g, budget=used).stats.budget_used == used
         with pytest.raises(BudgetExceeded):
-            solve_exact(g, budget=used - 1)
+            solve_strong_by_layers(g, budget=used - 1)
 
     def test_memo_cleared_at_every_walk(self, monkeypatch):
         graphs = [
@@ -306,10 +314,10 @@ class TestSeedSearch:
             gen_dhk(DhkSpec(5, 6)).graph,
             *(random_layered_strong(3, 4, 0.3, seed) for seed in range(10)),
         ]
-        expected = [solve_exact(g) for g in graphs]
+        expected = [solve_strong_by_layers(g) for g in graphs]
         monkeypatch.setattr(idomlib.solvers, "_MEMO_LIMIT", 1)
         for g, before in zip(graphs, expected):
-            after = solve_exact(g)
+            after = solve_strong_by_layers(g)
             assert (after.status, after.set) == (before.status, before.set)
             assert after.stats.seeds_explored == before.stats.seeds_explored
             assert after.stats.budget_used == before.stats.budget_used
@@ -323,31 +331,53 @@ class TestSeedSearch:
         monkeypatch.setattr(
             idomlib.solvers, "_propagate", lambda *a: calls.append(a[2]) or real(*a)
         )
-        assert solve_exact(cartesian_product(gen_cycle(5), gen_cycle(5))).found
+        assert solve_strong_by_layers(cartesian_product(gen_cycle(5), gen_cycle(5))).found
         assert calls == []
         g = cartesian_product(gen_cycle(7), gen_cycle(7))
-        outcome = solve_exact(g)
+        outcome = solve_strong_by_layers(g)
         assert outcome.found and outcome.stats.seeds_explored == 8 and calls == [7]
         monkeypatch.setattr(idomlib.solvers, "_propagate", lambda *a: (None, 7))
         with pytest.raises(InternalError, match="remembered layer walk"):
-            solve_exact(g)
+            solve_strong_by_layers(g)
 
 
 class TestBudget:
     @pytest.mark.parametrize(
-        "graph, used",
+        "graph, layers_used, exact_used",
         [
-            (gen_cycle(5), 5),
-            (cartesian_product(gen_cycle(7), gen_cycle(7)), 59),
-            (cartesian_product(gen_cycle(21), gen_cycle(21)), 22509),
-            (gen_dhk(DhkSpec(5, 6)).graph, 265),
+            (gen_cycle(5), 5, 10),
+            (cartesian_product(gen_cycle(7), gen_cycle(7)), 59, 49),
+            (cartesian_product(gen_cycle(21), gen_cycle(21)), 22509, 441),
+            (gen_dhk(DhkSpec(5, 6)).graph, 265, 364),
         ],
         ids=["C5", "C7xC7", "C21xC21", "D5,6"],
     )
-    def test_search_budget_used(self, graph, used):
-        # a seed costs 1 step plus 1 per layer its propagation walks
-        for solve in (solve_auto, solve_exact, solve_strong_by_layers):
-            assert solve(graph).stats.budget_used == used
+    def test_search_budget_used(self, graph, layers_used, exact_used):
+        # a seed costs 1 step plus 1 per layer its propagation walks; the
+        # per-vertex search costs 1 per assignment below the root
+        assert solve_strong_by_layers(graph).stats.budget_used == layers_used
+        for solve in (solve_auto, solve_exact):
+            assert solve(graph).stats.budget_used == exact_used
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            gen_cycle(5),
+            cartesian_product(gen_cycle(7), gen_cycle(7)),
+            gen_dhk(DhkSpec(5, 6)).graph,
+        ],
+        ids=["C5", "C7xC7", "D5,6"],
+    )
+    def test_exact_budget_boundary(self, graph):
+        for solve in (solve_exact, solve_auto):
+            outcome = solve(graph)
+            used = outcome.stats.budget_used
+            again = solve(graph, budget=used)
+            assert (again.status, again.set, again.stats.budget_used) == (
+                outcome.status, outcome.set, used,
+            )
+            with pytest.raises(BudgetExceeded):
+                solve(graph, budget=used - 1)
 
     def test_brute_budget_used_counts_subsets(self):
         assert brute_force_solve(gen_cycle(3)).stats.budget_used == 8
@@ -421,6 +451,56 @@ class TestSolveExact:
     def test_budget_exhaustion_raises(self):
         with pytest.raises(BudgetExceeded):
             solve_exact(gen_cycle(5), budget=1)
+
+    def test_backtracking_returns_to_an_earlier_component(self):
+        # failures further down, around the triangle 6 -> 10 -> 7 -> 6, send
+        # the search back into the component {0, 1, 3, 4, 8, 9, 11}; each
+        # level resumes its scan from the component it branched in
+        arcs = [(0, 8), (1, 3), (1, 4), (1, 8), (1, 11), (3, 0), (3, 4), (4, 0), (4, 3),
+                (4, 9), (4, 11), (5, 6), (5, 7), (6, 10), (7, 6), (8, 0), (8, 1), (8, 9),
+                (9, 1), (9, 3), (9, 4), (9, 5), (9, 8), (9, 11), (10, 7), (11, 1), (11, 3),
+                (11, 9)]
+        g = Digraph(12, arcs)
+        outcome = solve_exact(g)
+        assert outcome.set == {2, 4, 5, 8, 10} == brute_force_solve(g).set
+        assert outcome.stats.seeds_explored == 9
+        assert outcome.stats.recursion_depth == 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        digraphs(max_n=12),
+        st.builds(
+            random_digraph,
+            st.integers(1, 12),
+            st.sampled_from([0.1, 0.15, 0.2, 0.3, 0.45]),
+            st.integers(0, 10**6),
+        ),
+    ))
+    def test_agrees_with_brute(self, g):
+        expected = brute_force_solve(g).status
+        for solve in (solve_exact, solve_auto):
+            outcome = solve(g)
+            assert outcome.status == expected
+            assert outcome.set is None or is_ids(g, outcome.set).ids
+
+    @pytest.mark.parametrize(
+        "args, status",
+        [
+            ((30, 0.1, 7), "none"),
+            ((30, 0.15, 3), "found"),
+            ((40, 0.08, 1), "found"),
+            ((200, 0.02, 1), "none"),
+        ],
+    )
+    def test_aperiodic_instances_within_budget(self, args, status):
+        # each has an aperiodic component of 27 to 194 vertices, which the
+        # layer-seed search would scan as 2^size seeds; the verdicts are
+        # those of an integer-programming model
+        g = random_digraph(*args)
+        assert period(g) == 1
+        for solve in (solve_exact, solve_auto):
+            outcome = solve(g, budget=2 * 10**6)
+            assert outcome.status == status and outcome.method == "exact"
 
 
 class TestBruteForce:
@@ -535,8 +615,8 @@ class TestKernelPerfect:
 
     def test_odd_cycle_free_seeds_can_exceed_the_sccs(self):
         # two 2-cycles {2, 3} and {4, 5} joined into one component through
-        # 6 and 7, both of which the 2-cycle {0, 1} dominates: deleting them
-        # splits the component in two, so 2 SCCs take 3 seeds
+        # 6 and 7, both of which the 2-cycle {0, 1} dominates: once they are
+        # out, each 2-cycle takes its own decision, so 2 SCCs take 3 seeds
         arcs = [(0, 1), (1, 0), (2, 3), (3, 2), (4, 5), (5, 4), (3, 6), (6, 4), (5, 7),
                 (7, 2), (0, 6), (0, 7), (1, 6), (1, 7)]
         g = Digraph(8, arcs)
@@ -544,6 +624,15 @@ class TestKernelPerfect:
         assert len(idomlib.structure.sccs(g).components) == 2
         assert outcome.found and outcome.stats.seeds_explored == 3
         assert outcome.stats.recursion_depth == 4
+
+    def test_out_vertices_are_resolved_first(self):
+        # one component with no odd cycle; once 0 is in, its in-neighbor 4
+        # is out and undominated. Branching on 1 next (fewest options, lowest
+        # id) would fail; an in-neighbor of 4 stays on 0's side
+        arcs = [(0, 2), (1, 3), (1, 5), (2, 5), (3, 4), (4, 0), (5, 1), (5, 2), (5, 4)]
+        outcome = solve_exact(Digraph(6, arcs))
+        assert outcome.set == {0, 3, 5}
+        assert outcome.stats.seeds_explored == outcome.stats.recursion_depth - 1 == 2
 
 
 class TestOneStructurePass:
@@ -573,7 +662,7 @@ class TestDeepChains:
         outcome = solve_exact(g)
         assert outcome.found and outcome.method == "exact"
         assert is_ids(g, outcome.set).ids
-        assert outcome.stats.recursion_depth == 1201
+        assert outcome.stats.recursion_depth == 601
         outcome = solve_auto(g)
         assert outcome.found and outcome.method == "symmetric-arc"
         assert is_ids(g, outcome.set).ids
@@ -599,7 +688,7 @@ class TestMemory:
         g = random_layered_strong(3, 15, 0.3, 0)
         tracemalloc.start()
         try:
-            outcome = solve_auto(g)
+            outcome = solve_strong_by_layers(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -612,12 +701,13 @@ class TestMemory:
 class TestVerificationSurvivesOptimize:
     def test_invalid_set_rejected_under_python_O(self):
         # a closure that takes two adjacent vertices makes solve_dag and the
-        # symmetric-arc branch of solve_auto return an invalid set, which
-        # the verification must still catch
+        # symmetric-arc branch of solve_auto return an invalid set, and so
+        # does a search that answers two adjacent vertices; the verification
+        # must still catch them
         script = textwrap.dedent(
             """
             import idomlib.solvers as solvers
-            from idomlib import Digraph, gen_path
+            from idomlib import Digraph, gen_cycle, gen_path
 
             real = solvers._source_closure
             solvers._source_closure = lambda g: ([0, 1], *real(g)[1:])
@@ -631,6 +721,12 @@ class TestVerificationSurvivesOptimize:
                 solvers.solve_auto(Digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2), (2, 0)]))
             except solvers.InternalError as exc:
                 print("symmetric-arc rejected", __debug__, exc)
+
+            solvers._exact = lambda graph, comps, search: [0, 1]
+            try:
+                solvers.solve_exact(gen_cycle(5))
+            except solvers.InternalError as exc:
+                print("search rejected", __debug__, exc)
 
             import idomlib.generators as generators
             generators.is_ids = lambda graph, members: solvers.is_ids(graph, {0, 1})
@@ -649,6 +745,7 @@ class TestVerificationSurvivesOptimize:
         assert result.returncode == 0, result.stderr
         assert result.stdout.startswith("rejected False")
         assert "symmetric-arc rejected False method 'symmetric-arc'" in result.stdout
+        assert "search rejected False method 'exact'" in result.stdout
         assert "generation rejected:" in result.stdout
 
 
