@@ -101,8 +101,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         f"sccs={cond.dag.n}",
         "source_sccs=[" + ",".join(map(str, cond.source_components())) + "]",
     ]
-    if graph.n >= 2 and analysis.strong:
-        sizes = [len(layer) for layer in analysis.layers[0]]
+    if analysis.layers:
+        sizes = [len(layer) for layer in analysis.layers]
         doc["layers"] = sizes
         lines.append("layers=[" + ",".join(map(str, sizes)) + "]")
     if args.json:

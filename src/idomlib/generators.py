@@ -35,6 +35,9 @@ class GenerationError(ValueError):
     """A constructed instance failed its structural checks."""
 
 
+_MAX_VERTICES = 200_000  # size guard of the generators that multiply sizes
+
+
 def gen_cycle(n: int) -> Digraph:
     """Directed cycle 0 -> 1 -> ... -> n-1 -> 0. n=2 is an antiparallel pair."""
     if n < 2:
@@ -137,6 +140,11 @@ def gen_dhk(spec: DhkSpec, strict: bool = True) -> DhkGraph:
     its diagnostics filled in.
     """
     h, k = spec.h, spec.k
+    # (h - 1) / 2 label layers and (h + 1) / 2 >= 2 subset layers; every
+    # k >= 18 exceeds the guard, so capping k there keeps 1 << k small
+    n = (h - 1) // 2 * k + (h + 1) // 2 * ((1 << min(k, 18)) - 2)
+    if n > _MAX_VERTICES:
+        raise ValueError(f"D_({h},{k}) has more than {_MAX_VERTICES} vertices")
     kinds = _dhk_layer_kinds(h)
     rules = _dhk_rules(spec)
     subset_masks = list(range(1, (1 << k) - 1))  # nonempty proper subsets of [k]
@@ -157,8 +165,6 @@ def gen_dhk(spec: DhkSpec, strict: bool = True) -> DhkGraph:
             return bool(b & (1 << (a - 1)))
         if rule == "notin":
             return not b & (1 << (a - 1))
-        if rule == "eq":  # subset masks
-            return a == b
         if rule == "setin":  # subset mask a, label b
             return bool(a & (1 << (b - 1)))
         if rule == "setnotin":
@@ -169,6 +175,9 @@ def gen_dhk(spec: DhkSpec, strict: bool = True) -> DhkGraph:
     for i in range(h):
         j = (i + 1) % h
         rule = rules[i]
+        if rule == "eq":  # both subset layers list the masks in one order
+            arcs.extend(zip(layers[i], layers[j]))
+            continue
         for vi, ci in zip(layers[i], contents[i]):
             for vj, cj in zip(layers[j], contents[j]):
                 if connects(rule, ci, cj):
@@ -189,7 +198,7 @@ def gen_dhk(spec: DhkSpec, strict: bool = True) -> DhkGraph:
     return result
 
 
-def cartesian_product(g: Digraph, h: Digraph, max_vertices: int = 200_000) -> Digraph:
+def cartesian_product(g: Digraph, h: Digraph, max_vertices: int = _MAX_VERTICES) -> Digraph:
     """Cartesian product: (x, u) -> (y, u) for arcs x -> y, and (x, u) -> (x, v)
     for arcs u -> v. Vertex (x, u) gets id x * h.n + u (row-major)."""
     n = g.n * h.n

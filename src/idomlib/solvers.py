@@ -60,7 +60,7 @@ class SolverStats:
     seeds_explored: int = 0
     subsets_explored: int = 0
     recursion_depth: int = 0
-    elapsed: float = 0.0
+    elapsed: float = 0.0  # seconds of the whole call, analysis and verification included
     budget_used: int = 0  # steps charged to the search budget; 0 without a search
 
 
@@ -84,19 +84,33 @@ class PropagationResult:
 
 
 class _Search:
-    """Step budget and counters shared across one solver invocation."""
+    """Step budget, counters and clock of one public solve call, built on
+    entry, so ``elapsed`` covers the whole call."""
 
     def __init__(self, budget: int | None = None) -> None:
         if budget is not None and budget < 0:
             raise ValueError(f"the work budget must be at least 0, got {budget}")
         self.budget = DEFAULT_BUDGET if budget is None else budget
         self.stats = SolverStats()
+        self.t0 = time.perf_counter()
 
     def charge(self, steps: int = 1) -> None:
         stats = self.stats
         stats.budget_used += steps
         if stats.budget_used > self.budget:
             raise BudgetExceeded(f"work budget of {self.budget} steps exhausted")
+
+    def finish(
+        self, graph: Digraph, members: Iterable[int] | None, method: str
+    ) -> SolveOutcome:
+        """The call's outcome: "found" with ``members`` once they verify,
+        or "none" when ``members`` is None; then the clock stops."""
+        if members is not None:
+            members = frozenset(members)
+            _check_ids(graph, members, f"method {method!r}")
+        self.stats.elapsed = time.perf_counter() - self.t0
+        status = "none" if members is None else "found"
+        return SolveOutcome(status, members, method, self.stats)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -111,20 +125,6 @@ def _check_ids(graph: Digraph, members: Iterable[int], what: str) -> None:
     check also runs under ``python -O``."""
     if not is_ids(graph, members).ids:
         raise InternalError(f"{what} produced an invalid set")
-
-
-def _finish_found(
-    graph: Digraph, members: Iterable[int], method: str, stats: SolverStats, t0: float
-) -> SolveOutcome:
-    stats.elapsed = time.perf_counter() - t0
-    members = frozenset(members)
-    _check_ids(graph, members, f"method {method!r}")
-    return SolveOutcome("found", members, method, stats)
-
-
-def _finish_none(method: str, stats: SolverStats, t0: float) -> SolveOutcome:
-    stats.elapsed = time.perf_counter() - t0
-    return SolveOutcome("none", None, method, stats)
 
 
 def _take(
@@ -203,19 +203,19 @@ def forced_sources_closure(graph: Digraph) -> tuple[frozenset[int], Digraph, tup
     return frozenset(taken), residual, old_ids
 
 
-def _solve_dag(graph: Digraph, analysis: _Analysis) -> SolveOutcome:
-    t0 = time.perf_counter()
+def _solve_dag(graph: Digraph, analysis: _Analysis, search: _Search) -> SolveOutcome:
     if analysis.period != 0:
         raise ValueError("graph contains a directed cycle")
     forced, residual, _ = forced_sources_closure(graph)
     if residual.n:  # a nonempty acyclic graph always has a source
         raise InternalError("the source closure left part of an acyclic graph")
-    return _finish_found(graph, forced, "dag-greedy", SolverStats(), t0)
+    return search.finish(graph, forced, "dag-greedy")
 
 
 def solve_dag(graph: Digraph) -> SolveOutcome:
     """Greedy solution for acyclic digraphs: the source closure empties them."""
-    return _solve_dag(graph, _analyze(graph))
+    search = _Search()
+    return _solve_dag(graph, _analyze(graph), search)
 
 
 def _even_odd(analysis: _Analysis) -> tuple[frozenset[int], frozenset[int]]:
@@ -223,21 +223,21 @@ def _even_odd(analysis: _Analysis) -> tuple[frozenset[int], frozenset[int]]:
     h = analysis.strong_period()
     if h % 2 == 1:
         raise ValueError(f"period {h} is odd")
-    layers = analysis.layers[0]
+    layers = analysis.layers
     evens = frozenset(v for i in range(0, h, 2) for v in layers[i])
     odds = frozenset(v for i in range(1, h, 2) for v in layers[i])
     return evens, odds
 
 
-def _solve_even_period(graph: Digraph, analysis: _Analysis) -> SolveOutcome:
-    t0 = time.perf_counter()
+def _solve_even_period(graph: Digraph, analysis: _Analysis, search: _Search) -> SolveOutcome:
     evens, _ = _even_odd(analysis)
-    return _finish_found(graph, evens, "even-period", SolverStats(), t0)
+    return search.finish(graph, evens, "even-period")
 
 
 def solve_even_period(graph: Digraph) -> SolveOutcome:
     """Even-period strongly connected digraphs: take the even layers."""
-    return _solve_even_period(graph, _analyze(graph))
+    search = _Search()
+    return _solve_even_period(graph, _analyze(graph), search)
 
 
 def two_disjoint_ids(graph: Digraph) -> tuple[frozenset[int], frozenset[int]]:
@@ -278,11 +278,11 @@ def solve_bipartite(graph: Digraph) -> SolveOutcome:
     The residual is source-free, so every vertex in it has an in-neighbor,
     necessarily on the other side; taking a whole side therefore dominates.
     """
-    t0 = time.perf_counter()
+    search = _Search()
     color = _two_coloring(graph)
     forced, alive = _source_closure(graph)
     side = [v for v in range(graph.n) if alive[v] and color[v] == 0]
-    return _finish_found(graph, forced + side, "bipartite", SolverStats(), t0)
+    return search.finish(graph, forced + side, "bipartite")
 
 
 def _step_masks(
@@ -334,15 +334,13 @@ def _walk(
 
 
 def _propagate(
-    steps: list[list[int]], k: int, seed: int, search: _Search
+    steps: list[list[int]], k: int, seed: int
 ) -> tuple[list[int] | None, int | None]:
-    """Walk a seed (a bitmask over layer k) around the layers, charging one
-    step per layer walked; (the masks of layers k, k+1, ..., k+h-1, None) if
-    the wrap-around recomputation of layer k reproduces the seed, else
-    (None, failing step)."""
+    """Walk a seed (a bitmask over layer k) around the layers; (the masks of
+    layers k, k+1, ..., k+h-1, None) if the wrap-around recomputation of
+    layer k reproduces the seed, else (None, failing step)."""
     walk: list[int] = []
     back, t = _walk(steps, k, 0, seed, walk)
-    search.charge(t)
     return (walk, None) if back == seed else (None, t)
 
 
@@ -357,7 +355,6 @@ def propagate_layer_seed(
     layers: LayerDecomposition,
     k: int,
     seed: Iterable[int],
-    budget: int | None = None,
 ) -> PropagationResult:
     """Extend a seed subset of layer k around a strongly connected digraph.
 
@@ -375,9 +372,7 @@ def propagate_layer_seed(
         raise ValueError("seed is not a subset of layer k")
     members = [sorted(layer) for layer in layers.layers]
     seed_mask = sum(1 << j for j, v in enumerate(members[k]) if v in seed_set)
-    walk, failed = _propagate(
-        _step_masks(graph.out_adj, members), k, seed_mask, _Search(budget)
-    )
+    walk, failed = _propagate(_step_masks(graph.out_adj, members), k, seed_mask)
     if walk is None:
         return PropagationResult(False, None, failed)
     union = frozenset(_walk_members(members, k, walk))
@@ -436,7 +431,7 @@ def _first_strong_ids(
         search.stats.seeds_explored += 1
         if back == seed:
             if walk is None:
-                walk, _ = _propagate(steps, k, seed, _Search())
+                walk, _ = _propagate(steps, k, seed)
                 if walk is None:
                     raise InternalError("a remembered layer walk disagrees with a fresh one")
             return _walk_members(layers, k, walk)
@@ -455,15 +450,13 @@ def solve_strong_by_layers(graph: Digraph, budget: int | None = None) -> SolveOu
     if not analysis.strong:
         raise ValueError("graph is not strongly connected")
     if analysis.strong_period() % 2 == 0:
-        return _solve_even_period(graph, analysis)
-    t0 = time.perf_counter()
+        return _solve_even_period(graph, analysis, search)
     stats = search.stats
     stats.recursion_depth = 1
-    members = _first_strong_ids(graph.out_adj, analysis.layers[0], search)
-    if members is None:
-        return _finish_none("layers", stats, t0)
-    stats.recursion_depth = 2
-    return _finish_found(graph, members, "layers", stats, t0)
+    members = _first_strong_ids(graph.out_adj, analysis.layers, search)
+    if members is not None:
+        stats.recursion_depth = 2
+    return search.finish(graph, members, "layers")
 
 
 _IN, _OUT = 1, 2  # vertex states of _exact; 0 is undecided
@@ -629,16 +622,6 @@ def _exact(
                 break
 
 
-def _solve_exact(
-    graph: Digraph, comps: Sequence[tuple[int, ...]], search: _Search
-) -> SolveOutcome:
-    t0 = time.perf_counter()
-    solution = _exact(graph, comps, search)
-    if solution is None:
-        return _finish_none("exact", search.stats, t0)
-    return _finish_found(graph, solution, "exact", search.stats, t0)
-
-
 def solve_exact(graph: Digraph, budget: int | None = None) -> SolveOutcome:
     """Complete decision procedure for any digraph.
 
@@ -650,7 +633,7 @@ def solve_exact(graph: Digraph, budget: int | None = None) -> SolveOutcome:
     by exactly 1 when no branch failed.
     """
     search = _Search(budget)
-    return _solve_exact(graph, sccs(graph).components, search)
+    return search.finish(graph, _exact(graph, sccs(graph).components, search), "exact")
 
 
 def solve_auto(graph: Digraph, budget: int | None = None) -> SolveOutcome:
@@ -661,17 +644,16 @@ def solve_auto(graph: Digraph, budget: int | None = None) -> SolveOutcome:
     search = _Search(budget)  # rejects a negative budget on every path
     analysis = _analyze(graph)
     if analysis.period == 0:
-        return _solve_dag(graph, analysis)
+        return _solve_dag(graph, analysis, search)
     if analysis.strong and analysis.periods[0] % 2 == 0:
-        return _solve_even_period(graph, analysis)
+        return _solve_even_period(graph, analysis, search)
     # the closure always succeeds when every cycle has a symmetric arc, which
     # a component of period 3 or more, having no 2-cycle, rules out
     if max(analysis.periods) <= 2:
-        t0 = time.perf_counter()
         kernel = _kernel(graph)
         if kernel is not None:
-            return _finish_found(graph, kernel, "symmetric-arc", SolverStats(), t0)
-    return _solve_exact(graph, analysis.scc.components, search)
+            return search.finish(graph, kernel, "symmetric-arc")
+    return search.finish(graph, _exact(graph, analysis.scc.components, search), "exact")
 
 
 def _ids_mask(out_masks: tuple[int, ...], full: int, mask: int) -> bool:
@@ -713,11 +695,10 @@ def brute_force_solve(
     graph: Digraph, cap: int = 20, budget: int | None = None
 ) -> SolveOutcome:
     """Scan all subsets in ascending bitmask order; the independent oracle."""
-    t0 = time.perf_counter()
     search = _Search(budget)
     for mask in _ids_masks(graph, cap, search):
-        return _finish_found(graph, _bits(mask), "brute", search.stats, t0)
-    return _finish_none("brute", search.stats, t0)
+        return search.finish(graph, _bits(mask), "brute")
+    return search.finish(graph, None, "brute")
 
 
 def enumerate_ids_brute(graph: Digraph, cap: int = 20) -> list[frozenset[int]]:

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
-from typing import Iterable, Sequence
 
 from .digraph import Digraph
 
@@ -37,65 +35,6 @@ class SccDecomposition:
     components: tuple[tuple[int, ...], ...]
 
 
-def _tarjan(
-    out_adj: tuple[tuple[int, ...], ...],
-    roots: Iterable[int],
-    index: list[int],
-    low: list[int],
-) -> list[tuple[int, ...]]:
-    """Iterative Tarjan over the subgraph induced by the vertices whose
-    ``index`` entry is -1; every other entry must be ``len(index)``.
-
-    Roots and neighbors are visited in the given order. A finished vertex
-    gets ``index`` ``len(index)`` again, so it reads like an outside vertex
-    and the array is ready for the next call. Components come out in reverse
-    topological order, each sorted ascending.
-    """
-    done = len(index)
-    stack: list[int] = []
-    components: list[tuple[int, ...]] = []
-    counter = 0
-    for root in roots:
-        if index[root] != -1:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, ptr = work[-1]
-            if ptr == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-            descended = False
-            neighbors = out_adj[v]
-            while ptr < len(neighbors):
-                w = neighbors[ptr]
-                ptr += 1
-                if index[w] == -1:
-                    work[-1] = (v, ptr)
-                    work.append((w, 0))
-                    descended = True
-                    break
-                # on the stack: index[w] < done; finished or outside: no-op
-                if index[w] < low[v]:
-                    low[v] = index[w]
-            if descended:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    index[w] = done
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(tuple(sorted(comp)))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return components
-
-
 def sccs(graph: Digraph) -> SccDecomposition:
     """Strongly connected components via iterative Tarjan.
 
@@ -103,11 +42,49 @@ def sccs(graph: Digraph) -> SccDecomposition:
     deterministic; components come out in reverse topological order.
     """
     n = graph.n
-    components = _tarjan(graph.out_adj, range(n), [-1] * n, [0] * n)
+    out_adj = graph.out_adj
+    index = [-1] * n  # n once the vertex's component is complete
+    low = [0] * n
     component_of = [0] * n
-    for ci, comp in enumerate(components):
-        for v in comp:
-            component_of[v] = ci
+    stack: list[int] = []
+    components: list[tuple[int, ...]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(out_adj[root]))]
+        while work:
+            v, neighbors = work[-1]
+            for w in neighbors:
+                if index[w] == -1:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(out_adj[w])))
+                    break
+                # on the stack: index[w] < n; complete: no-op
+                if index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    c = len(components)
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        index[w] = n
+                        component_of[w] = c
+                        comp.append(w)
+                        if w == v:
+                            break
+                    components.append(tuple(sorted(comp)))
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
     return SccDecomposition(tuple(component_of), tuple(components))
 
 
@@ -140,59 +117,21 @@ def condensation(graph: Digraph) -> Condensation:
     return _condense(graph, sccs(graph))
 
 
-def _period_layers(
-    out_adj: tuple[tuple[int, ...], ...],
-    comp: Sequence[int],
-    label: Sequence[int],
-    c: int,
-) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Period and layers of a strongly connected subgraph on >= 2 vertices.
-
-    ``comp`` lists its vertices ascending; they, and no others, have
-    ``label[v] == c``. One BFS from ``comp[0]`` gives the levels; the period
-    ``h`` is the gcd over inner arcs (u, v) of level(u)+1-level(v), and layer
-    ``i`` holds the vertices whose level is ``i`` mod ``h``, ascending.
-    """
-    root = comp[0]
-    level = {root: 0}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        next_level = level[u] + 1
-        for v in out_adj[u]:
-            if label[v] == c and v not in level:
-                level[v] = next_level
-                queue.append(v)
-    h = 0
-    for u in comp:
-        next_level = level[u] + 1
-        for v in out_adj[u]:
-            if label[v] == c:
-                h = gcd(h, next_level - level[v])
-    # some arc closes a cycle, so h >= 1 here
-    layers: list[list[int]] = [[] for _ in range(h)]
-    for v in comp:
-        layers[level[v] % h].append(v)
-    return h, tuple(map(tuple, layers))
-
-
 @dataclass(frozen=True)
 class _Analysis:
-    """One structure pass over a graph: its SCCs, and the period and layers
-    of every component (0 and no layers for a single vertex)."""
+    """One structure pass over a graph: its SCCs, the period of every
+    component (0 for a single vertex), and, when the graph is strongly
+    connected with at least 2 vertices, its layers (else none)."""
 
     graph: Digraph
     scc: SccDecomposition
     periods: tuple[int, ...]
-    layers: tuple[tuple[tuple[int, ...], ...], ...]
+    layers: tuple[tuple[int, ...], ...]
 
     @property
     def period(self) -> int:
         """gcd of all directed cycle lengths; 0 when the graph is acyclic."""
-        g = 0
-        for h in self.periods:
-            g = gcd(g, h)
-        return g
+        return gcd(*self.periods)
 
     @property
     def strong(self) -> bool:
@@ -214,19 +153,40 @@ class _Analysis:
 
 
 def _analyze(graph: Digraph) -> _Analysis:
-    """SCCs from one ``sccs`` call, then one BFS per nontrivial component;
-    O(n + m) in all."""
+    """SCCs from one ``sccs`` call, then one BFS per nontrivial component,
+    from its lowest vertex; O(n + m) in all. A component's period is the gcd
+    over its arcs (u, v) of level(u)+1-level(v), and layer ``i`` of a
+    strongly connected graph holds the vertices whose level is ``i`` mod
+    the period, ascending."""
+    out_adj = graph.out_adj
     s = sccs(graph)
-    periods, layers = [], []
+    label = s.component_of
+    level = [-1] * graph.n
+    periods = []
     for c, comp in enumerate(s.components):
-        h, comp_layers = (
-            _period_layers(graph.out_adj, comp, s.component_of, c)
-            if len(comp) >= 2
-            else (0, ())
-        )
+        h = 0
+        if len(comp) >= 2:  # some arc closes a cycle, so h >= 1
+            level[comp[0]] = 0
+            queue = [comp[0]]
+            for u in queue:  # appended to as it is walked: breadth first
+                next_level = level[u] + 1
+                for v in out_adj[u]:
+                    if label[v] != c:
+                        continue
+                    if level[v] < 0:
+                        level[v] = next_level
+                        queue.append(v)
+                    else:  # a tree arc would add 0 to the gcd
+                        h = gcd(h, next_level - level[v])
         periods.append(h)
-        layers.append(comp_layers)
-    return _Analysis(graph, s, tuple(periods), tuple(layers))
+    layers: tuple[tuple[int, ...], ...] = ()
+    if len(periods) == 1 and periods[0]:
+        h = periods[0]
+        buckets: list[list[int]] = [[] for _ in range(h)]
+        for v in range(graph.n):
+            buckets[level[v] % h].append(v)
+        layers = tuple(map(tuple, buckets))
+    return _Analysis(graph, s, tuple(periods), layers)
 
 
 def scc_period(graph: Digraph) -> int:
@@ -265,12 +225,10 @@ def layer_decomposition(graph: Digraph) -> LayerDecomposition:
     analysis = _analyze(graph)
     h = analysis.strong_period()
     layer_of = [0] * graph.n
-    for i, layer in enumerate(analysis.layers[0]):
+    for i, layer in enumerate(analysis.layers):
         for v in layer:
             layer_of[v] = i
-    return LayerDecomposition(
-        h, tuple(layer_of), tuple(map(frozenset, analysis.layers[0]))
-    )
+    return LayerDecomposition(h, tuple(layer_of), tuple(map(frozenset, analysis.layers)))
 
 
 def cycle_gcd_oracle(graph: Digraph, max_n: int = 12) -> int:

@@ -249,6 +249,13 @@ class TestGen:
         code, _, _ = run(capsys, "gen", "cycle", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("h, k", [("3", "17"), ("100001", "2"), ("3", "1000000000")])
+    def test_dhk_over_the_vertex_guard_is_an_error(self, capsys, h, k):
+        # D_(3,17) has 17 + 2 * (2^17 - 2) vertices, D_(100001,2) has 200002
+        code, out, err = run(capsys, "gen", "dhk", h, k)
+        assert code == 2 and out == ""
+        assert f"D_({h},{k}) has more than 200000 vertices" in err
+
 
 class TestBrute:
     def test_ids_size_none(self, capsys, write_graph):

@@ -97,6 +97,12 @@ class TestDhkFamily:
             for u, v in built.graph.arcs:
                 assert layer_of[v] == (layer_of[u] + 1) % h
 
+    def test_eq_transition_pairs_equal_subsets(self):
+        built = gen_dhk(DhkSpec(5, 4))
+        first, second = built.layers[1], built.layers[2]
+        between = {(u, v) for u, v in built.graph.arcs if u in first}
+        assert between == set(zip(first, second))
+
     def test_smallest_free_case_is_two_triangles(self):
         built = gen_dhk(DhkSpec(3, 2), strict=False)
         assert built.graph.n == 6 and built.graph.m == 6

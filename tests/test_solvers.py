@@ -2,7 +2,9 @@ import math
 import os
 import subprocess
 import sys
+import ast
 import textwrap
+import time
 import tracemalloc
 
 import hypothesis.strategies as st
@@ -40,6 +42,7 @@ from idomlib import (
     random_digraph,
     random_layered_strong,
     random_oriented_bipartite,
+    sccs,
     solve_auto,
     solve_bipartite,
     solve_dag,
@@ -452,6 +455,16 @@ class TestSolveExact:
         with pytest.raises(BudgetExceeded):
             solve_exact(gen_cycle(5), budget=1)
 
+    def test_set_follows_the_component_order(self):
+        # the 2-cycles {0, 1} and {2, 3} are incomparable; the search branches
+        # first in the one sccs lists last, which gives {1, 2, 5}, while
+        # branching in {0, 1} first would give {0, 3, 5}
+        arcs = [(0, 1), (1, 0), (2, 3), (3, 2), (4, 5), (5, 6), (6, 4), (1, 4), (3, 4)]
+        g = Digraph(7, arcs)
+        assert sccs(g).components == ((4, 5, 6), (0, 1), (2, 3))
+        for solve in (solve_exact, solve_auto):
+            assert solve(g).set == {1, 2, 5}
+
     def test_backtracking_returns_to_an_earlier_component(self):
         # failures further down, around the triangle 6 -> 10 -> 7 -> 6, send
         # the search back into the component {0, 1, 3, 4, 8, 9, 11}; each
@@ -656,6 +669,35 @@ class TestOneStructurePass:
         assert len(calls) == 1
 
 
+class TestElapsed:
+    @pytest.mark.parametrize(
+        "solve, graph, method",
+        [
+            (solve_auto, gen_path(3), "dag-greedy"),
+            (solve_auto, gen_cycle(4), "even-period"),
+            (solve_auto, antiparallel_chain(3), "symmetric-arc"),
+            # period 1: the symmetric-arc closure is tried and fails
+            (solve_auto, Digraph(4, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 0), (1, 3)]), "exact"),
+            (solve_auto, gen_cycle(5), "exact"),
+            (solve_strong_by_layers, gen_cycle(4), "even-period"),
+            (solve_strong_by_layers, gen_cycle(5), "layers"),
+            (solve_dag, gen_path(3), "dag-greedy"),
+            (solve_even_period, gen_cycle(4), "even-period"),
+        ],
+    )
+    def test_elapsed_covers_the_structure_pass(self, solve, graph, method, monkeypatch):
+        real = idomlib.solvers._analyze
+
+        def slow(g):
+            time.sleep(0.03)
+            return real(g)
+
+        monkeypatch.setattr(idomlib.solvers, "_analyze", slow)
+        outcome = solve(graph)
+        assert outcome.method == method
+        assert outcome.stats.elapsed >= 0.03
+
+
 class TestDeepChains:
     def test_1200_pair_chain(self):
         g = antiparallel_chain(1200)
@@ -747,6 +789,18 @@ class TestVerificationSurvivesOptimize:
         assert "symmetric-arc rejected False method 'symmetric-arc'" in result.stdout
         assert "search rejected False method 'exact'" in result.stdout
         assert "generation rejected:" in result.stdout
+
+    def test_no_assert_statements_in_the_package(self):
+        # python -O strips assert statements, so no check may rely on one
+        package = os.path.dirname(idomlib.solvers.__file__)
+        found = []
+        for name in sorted(os.listdir(package)):
+            if name.endswith(".py"):
+                with open(os.path.join(package, name)) as f:
+                    tree = ast.parse(f.read(), name)
+                found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                          if isinstance(node, ast.Assert)]
+        assert found == []
 
 
 class TestStructuralProperties:
