@@ -227,7 +227,7 @@ def cmd_brute(args: argparse.Namespace) -> int:
     graph = _load(args.file)
     what = args.what
     if what == "exist":
-        value = brute_force_solve(graph, cap=args.cap).found
+        value = brute_force_solve(graph, cap=args.cap, budget=_budget()).found
     elif what == "i":
         value = min_ids_size_brute(graph, cap=args.cap)
     elif what == "gamma":

@@ -307,18 +307,20 @@ def _step_masks(
     return steps
 
 
-def _walk(
-    steps: list[list[int]], k: int, t: int, current: int, walk: list[int]
-) -> tuple[int | None, int]:
-    """Walk on from step t, whose mask over layer k+t is ``current`` (step 0
-    is the seed), appending the masks of steps t..h-1 to ``walk``. Returns
-    (the mask step h brings back to layer k, h), or (None, failing step):
-    step t fills layer k+t with everything not dominated from the previous
-    step, and an empty intermediate step cannot wrap consistently when h is
-    odd (a valid set meets every layer of an odd-period graph)."""
+def _propagate(
+    steps: list[list[int]], k: int, seed: int
+) -> tuple[list[int] | None, int]:
+    """Walk a seed (a bitmask over layer k) around the layers: step t fills
+    layer k+t with everything not dominated from step t-1. Returns (the
+    masks of layers k, k+1, ..., k+h-1, h) if the wrap-around recomputation
+    of layer k reproduces the seed, else (None, steps walked): h when it
+    comes back different, t when intermediate step t is empty and h is odd
+    (a valid set meets every layer of an odd-period graph)."""
     h = len(steps)
     odd = h % 2 == 1
-    while t < h:
+    walk = []
+    current = seed
+    for t in range(h):
         if not current and odd and t:
             return None, t
         walk.append(current)
@@ -328,20 +330,8 @@ def _walk(
             j = (current & -current).bit_length() - 1
             current &= current - 1
             forbidden |= row[j]
-        t += 1
-        current = ((1 << len(steps[(k + t) % h])) - 1) & ~forbidden
-    return current, h
-
-
-def _propagate(
-    steps: list[list[int]], k: int, seed: int
-) -> tuple[list[int] | None, int | None]:
-    """Walk a seed (a bitmask over layer k) around the layers; (the masks of
-    layers k, k+1, ..., k+h-1, None) if the wrap-around recomputation of
-    layer k reproduces the seed, else (None, failing step)."""
-    walk: list[int] = []
-    back, t = _walk(steps, k, 0, seed, walk)
-    return (walk, None) if back == seed else (None, t)
+        current = ((1 << len(steps[(k + t + 1) % h])) - 1) & ~forbidden
+    return (walk, h) if current == seed else (None, h)
 
 
 def _walk_members(layers: Sequence[Sequence[int]], k: int, walk: list[int]) -> list[int]:
@@ -362,88 +352,41 @@ def propagate_layer_seed(
     valid set is exactly that layer minus the out-neighbors of layer k+t.
     A consistent wrap-around yields the unique independent dominating set
     whose layer-k slice equals the seed; it is verified before returning.
+    Raises ValueError unless the graph is strongly connected and every arc
+    goes from layer i to layer i+1 mod h.
     """
     seed_set = frozenset(seed)
-    if len(layers.layer_of) != graph.n:
+    layer_of, h = layers.layer_of, layers.h
+    if len(layer_of) != graph.n:
         raise ValueError("layers do not cover the graph's vertices")
-    if not (0 <= k < layers.h):
-        raise ValueError(f"layer index {k} out of range for h={layers.h}")
+    if not (0 <= k < h):
+        raise ValueError(f"layer index {k} out of range for h={h}")
+    if any(layer_of[v] != (layer_of[u] + 1) % h for u, v in graph.arcs):
+        raise ValueError("an arc does not go from layer i to layer i+1 mod h")
+    if len(sccs(graph).components) != 1:
+        raise ValueError("graph is not strongly connected")
     if not seed_set <= layers.layers[k]:
         raise ValueError("seed is not a subset of layer k")
     members = [sorted(layer) for layer in layers.layers]
     seed_mask = sum(1 << j for j, v in enumerate(members[k]) if v in seed_set)
-    walk, failed = _propagate(_step_masks(graph.out_adj, members), k, seed_mask)
+    walk, walked = _propagate(_step_masks(graph.out_adj, members), k, seed_mask)
     if walk is None:
-        return PropagationResult(False, None, failed)
+        return PropagationResult(False, None, walked)
     union = frozenset(_walk_members(members, k, walk))
     _check_ids(graph, union, "layer propagation")
     return PropagationResult(True, union, None)
 
 
-_MEMO_LIMIT = 1 << 16  # step-1 masks remembered by one seed search
-
-
-def _first_strong_ids(
-    out_adj: tuple[tuple[int, ...], ...],
-    layers: Sequence[Sequence[int]],
-    search: _Search,
-) -> list[int] | None:
-    """The first independent dominating set of the strongly connected
-    subgraph with these layers (each ascending), or None if it has none.
-
-    Scans seeds over the smallest layer (ties: lowest index) in ascending
-    bitmask order, bit j being the j-th smallest layer member; each
-    consistent propagation is one distinct set, and every set shows up.
-    A seed costs 1 step plus the steps its :func:`_propagate` walk takes.
-    Everything after step 1 depends only on the step-1 mask, so each
-    distinct one is walked once into a memo (cleared past ``_MEMO_LIMIT``
-    entries). Step 1 comes from two half-width tables: one for the seed's
-    low ceil(w/2) bits, filled as seeds ascend, and one value for its high
-    bits, redone when the low half wraps to 0.
-    """
-    steps = _step_masks(out_adj, layers)
-    h = len(layers)
-    k = min(range(h), key=lambda i: (len(layers[i]), i))
-    row = steps[k]
-    half = (len(row) + 1) // 2
-    low_bits = (1 << half) - 1
-    full = (1 << len(steps[(k + 1) % h])) - 1
-    low, high = [0], 0
-    memo: dict[int, tuple[int | None, int]] = {}
-    for seed in range(1 << len(row)):
-        lo = seed & low_bits
-        if lo == len(low):
-            low.append(low[lo & (lo - 1)] | row[(lo & -lo).bit_length() - 1])
-        elif not lo and seed:  # seed 0 has no high bits
-            high = 0
-            for j in _bits(seed >> half):
-                high |= row[half + j]
-        first = full & ~(low[lo] | high)
-        walk = None
-        outcome = memo.get(first)
-        if outcome is None:
-            if len(memo) >= _MEMO_LIMIT:
-                memo.clear()
-            walk = [seed]
-            outcome = memo[first] = _walk(steps, k, 1, first, walk)
-        back, t = outcome
-        search.charge(1 + t)
-        search.stats.seeds_explored += 1
-        if back == seed:
-            if walk is None:
-                walk, _ = _propagate(steps, k, seed)
-                if walk is None:
-                    raise InternalError("a remembered layer walk disagrees with a fresh one")
-            return _walk_members(layers, k, walk)
-    return None
-
-
 def solve_strong_by_layers(graph: Digraph, budget: int | None = None) -> SolveOutcome:
     """Layer-seed search for strongly connected digraphs.
 
-    Even period delegates to the even-layer construction. Odd period
-    enumerates at most 2^{|smallest layer|} seeds, each propagated around the
-    h layers, and reports the first consistent set or that none exists.
+    Even period delegates to the even-layer construction. Odd period scans
+    the at most 2^{|smallest layer|} seeds over the smallest layer (ties:
+    lowest index) in ascending bitmask order, bit j being the layer's j-th
+    smallest member, and propagates each around the h layers; each
+    consistent propagation is one distinct set, and every set shows up. It
+    reports the first one, or that none exists. A seed costs 1 step plus
+    the steps its walk takes.
     """
     search = _Search(budget)  # rejects a negative budget on every path
     analysis = _analyze(graph)
@@ -451,12 +394,19 @@ def solve_strong_by_layers(graph: Digraph, budget: int | None = None) -> SolveOu
         raise ValueError("graph is not strongly connected")
     if analysis.strong_period() % 2 == 0:
         return _solve_even_period(graph, analysis, search)
+    layers = analysis.layers
+    k = min(range(len(layers)), key=lambda i: (len(layers[i]), i))
+    steps = _step_masks(graph.out_adj, layers)
     stats = search.stats
     stats.recursion_depth = 1
-    members = _first_strong_ids(graph.out_adj, analysis.layers, search)
-    if members is not None:
-        stats.recursion_depth = 2
-    return search.finish(graph, members, "layers")
+    for seed in range(1 << len(layers[k])):
+        walk, walked = _propagate(steps, k, seed)
+        search.charge(1 + walked)
+        stats.seeds_explored += 1
+        if walk is not None:
+            stats.recursion_depth = 2
+            return search.finish(graph, _walk_members(layers, k, walk), "layers")
+    return search.finish(graph, None, "layers")
 
 
 _IN, _OUT = 1, 2  # vertex states of _exact; 0 is undecided

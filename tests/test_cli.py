@@ -1,14 +1,17 @@
 import json
+import re
 
 import pytest
 
 import idomlib.cli
 import idomlib.structure
 from idomlib import (
+    DhkSpec,
     cartesian_product,
     cn_box_cn_ids,
     format_arc_list,
     gen_cycle,
+    gen_dhk,
     gen_paw,
     gen_wheel,
     parse_digraph,
@@ -163,6 +166,43 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", write_graph("3 2\n0 1\n1 2\n"))
         assert code == 0 and "status=found set=0,2" in out
 
+    TORUS_SET = "0,3,5,8,11,13,14,16,19,22,24,27,28,30,32,36,38,40,44,46,48"
+
+    @pytest.mark.parametrize(
+        "graph, text, doc",
+        [
+            (
+                cartesian_product(gen_cycle(7), gen_cycle(7)),
+                f"status=found set={TORUS_SET}\nmethod=layers\n"
+                "seeds_explored=8 subsets_explored=0 elapsed_ms=X\n",
+                '{"status": "found", "set": [' + TORUS_SET.replace(",", ", ") + '], '
+                '"method": "layers", "seeds_explored": 8, "subsets_explored": 0, '
+                '"elapsed_ms": X}\n',
+            ),
+            (
+                gen_dhk(DhkSpec(5, 4, "ids_free")).graph,
+                "status=none\nmethod=layers\n"
+                "seeds_explored=16 subsets_explored=0 elapsed_ms=X\n",
+                '{"status": "none", "method": "layers", "seeds_explored": 16, '
+                '"subsets_explored": 0, "elapsed_ms": X}\n',
+            ),
+            (
+                gen_cycle(4),
+                "status=found set=0,2\nmethod=even-period\n"
+                "seeds_explored=0 subsets_explored=0 elapsed_ms=X\n",
+                '{"status": "found", "set": [0, 2], "method": "even-period", '
+                '"seeds_explored": 0, "subsets_explored": 0, "elapsed_ms": X}\n',
+            ),
+        ],
+        ids=["C7xC7", "D5,4-free", "C4"],
+    )
+    def test_layers_golden(self, capsys, write_graph, graph, text, doc):
+        path = write_graph(graph)
+        for argv, expected in ((), text), (("--json",), doc):
+            code, out, err = run(capsys, "solve", path, "--method", "layers", *argv)
+            masked = re.sub(r'(elapsed_ms(=|": ))[0-9.]+', r"\1X", out)
+            assert (code, masked, err) == (0, expected, "")
+
     def test_unexpected_exception_exit_code(self, capsys, write_graph, monkeypatch):
         def broken(graph, budget):
             raise RecursionError("maximum recursion depth exceeded")
@@ -279,6 +319,22 @@ class TestBrute:
         assert out.strip() == "true"
         _, out, _ = run(capsys, "brute", write_graph(gen_cycle(3)), "--what", "exist")
         assert out.strip() == "false"
+
+    def test_exist_budget_env(self, capsys, write_graph, monkeypatch):
+        # the scan of C_3's 8 subsets needs 8 steps, as solve --method brute
+        path = write_graph(gen_cycle(3))
+        monkeypatch.setenv("IDOM_BUDGET", "3")
+        for argv in ("solve", path, "--method", "brute"), ("brute", path, "--what", "exist"):
+            code, out, err = run(capsys, *argv)
+            assert code == 3 and out == "" and "budget of 3 steps" in err
+        monkeypatch.setenv("IDOM_BUDGET", "8")
+        assert run(capsys, "brute", path, "--what", "exist") == (0, "false\n", "")
+
+    def test_exist_bad_budget_env(self, capsys, write_graph, monkeypatch):
+        monkeypatch.setenv("IDOM_BUDGET", "lots")
+        code, out, err = run(capsys, "brute", write_graph(gen_cycle(3)), "--what", "exist")
+        assert code == 2 and out == ""
+        assert err == "error: IDOM_BUDGET must be an integer, got 'lots'\n"
 
     def test_json_null_value(self, capsys, write_graph):
         _, out, _ = run(

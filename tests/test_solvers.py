@@ -18,7 +18,6 @@ from idomlib import (
     CapExceeded,
     Digraph,
     DhkSpec,
-    InternalError,
     UndirectedGraph,
     brute_force_solve,
     cartesian_product,
@@ -181,7 +180,20 @@ class TestPropagateLayerSeed:
         c3 = gen_cycle(3)
         result = propagate_layer_seed(c3, layer_decomposition(c3), 0, {0})
         assert not result.consistent and result.union is None
-        assert result.failed_step is not None
+        assert result.failed_step == 1
+
+    @pytest.mark.parametrize(
+        "graph, seed, step",
+        [
+            (gen_cycle(5), set(), 2),  # layer 2 comes out empty
+            # the walk wraps around to layer 0 as {0, 13}, not {0}
+            (cartesian_product(gen_cycle(5), gen_cycle(5)), {0}, 5),
+        ],
+        ids=["C5-empty", "C5xC5-wraps-different"],
+    )
+    def test_failed_step(self, graph, seed, step):
+        result = propagate_layer_seed(graph, layer_decomposition(graph), 0, seed)
+        assert not result.consistent and result.failed_step == step
 
     def test_square_seed_completes(self):
         c4 = gen_cycle(4)
@@ -204,6 +216,18 @@ class TestPropagateLayerSeed:
         for g, other in [(gen_cycle(3), gen_cycle(5)), (gen_cycle(6), gen_cycle(3))]:
             with pytest.raises(ValueError, match="do not cover"):
                 propagate_layer_seed(g, layer_decomposition(other), 0, {0})
+
+    def test_rejects_arcs_against_the_layers(self):
+        # the reversed 6-cycle has C_6's vertex layers, but its arcs go back
+        reversed_c6 = Digraph(6, [((i + 1) % 6, i) for i in range(6)])
+        with pytest.raises(ValueError, match="layer i to layer i\\+1"):
+            propagate_layer_seed(reversed_c6, layer_decomposition(gen_cycle(6)), 0, {0})
+
+    def test_rejects_non_strongly_connected(self):
+        # {0, 2} is an independent dominating set of the path, whose layer-0
+        # part is {0}; propagation cannot see it
+        with pytest.raises(ValueError, match="not strongly connected"):
+            propagate_layer_seed(gen_path(3), layer_decomposition(gen_cycle(3)), 0, {0})
 
     def test_completeness_against_enumeration(self):
         # consistent propagations over all seeds = exactly the solution sets
@@ -310,38 +334,6 @@ class TestSeedSearch:
         assert solve_strong_by_layers(g, budget=used).stats.budget_used == used
         with pytest.raises(BudgetExceeded):
             solve_strong_by_layers(g, budget=used - 1)
-
-    def test_memo_cleared_at_every_walk(self, monkeypatch):
-        graphs = [
-            cartesian_product(gen_cycle(7), gen_cycle(7)),
-            gen_dhk(DhkSpec(5, 6)).graph,
-            *(random_layered_strong(3, 4, 0.3, seed) for seed in range(10)),
-        ]
-        expected = [solve_strong_by_layers(g) for g in graphs]
-        monkeypatch.setattr(idomlib.solvers, "_MEMO_LIMIT", 1)
-        for g, before in zip(graphs, expected):
-            after = solve_strong_by_layers(g)
-            assert (after.status, after.set) == (before.status, before.set)
-            assert after.stats.seeds_explored == before.stats.seeds_explored
-            assert after.stats.budget_used == before.stats.budget_used
-
-    def test_remembered_consistent_seed_is_walked_again(self, monkeypatch):
-        # on C_7 x C_7 the consistent seed 7 shares its step-1 mask with an
-        # earlier seed, so it comes from the memo and is walked afresh; on
-        # C_5 x C_5 the consistent seed's walk is new and is used as it is
-        calls = []
-        real = idomlib.solvers._propagate
-        monkeypatch.setattr(
-            idomlib.solvers, "_propagate", lambda *a: calls.append(a[2]) or real(*a)
-        )
-        assert solve_strong_by_layers(cartesian_product(gen_cycle(5), gen_cycle(5))).found
-        assert calls == []
-        g = cartesian_product(gen_cycle(7), gen_cycle(7))
-        outcome = solve_strong_by_layers(g)
-        assert outcome.found and outcome.stats.seeds_explored == 8 and calls == [7]
-        monkeypatch.setattr(idomlib.solvers, "_propagate", lambda *a: (None, 7))
-        with pytest.raises(InternalError, match="remembered layer walk"):
-            solve_strong_by_layers(g)
 
 
 class TestBudget:
@@ -726,7 +718,7 @@ class TestMemory:
 
     def test_layered_none_search_memory_is_bounded(self):
         # 32,768 seeds over 99,558 steps: a table kept per seed would take
-        # over 1 MB, the half-width tables and the step-1 memo far less
+        # over 1 MB, while each seed's walk is dropped before the next one
         g = random_layered_strong(3, 15, 0.3, 0)
         tracemalloc.start()
         try:
