@@ -9,7 +9,6 @@ overrides the solver step budget; a value below 0 is a usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -87,6 +86,8 @@ def _load(path: str):
 
 
 def _emit_json(doc: dict) -> None:
+    import json  # only --json output needs it; kept off the start path
+
     print(json.dumps(doc))
 
 

@@ -3,7 +3,6 @@ and domination verifiers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -25,6 +24,29 @@ __all__ = [
 
 class ParseError(ValueError):
     """Malformed arc-list document."""
+
+
+class _Record:
+    """Base of the records that are not tuples: a subclass names its fields
+    in ``__slots__``, and is compared field by field and shown as
+    ``Name(field=value, ...)``. Unhashable unless the subclass is immutable
+    and defines ``__hash__``."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 class Digraph:
@@ -111,8 +133,7 @@ def is_dominating(graph: Digraph, members: Iterable[int]) -> tuple[bool, list[in
     return (not bad, bad)
 
 
-@dataclass(frozen=True)
-class IdsReport:
+class IdsReport(NamedTuple):
     """Joint verdict of the independence and domination verifiers."""
 
     independent: bool

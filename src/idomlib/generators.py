@@ -5,10 +5,9 @@ and seeded random instances for property tests."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .digraph import Digraph, is_ids
+from .digraph import Digraph, _Record, is_ids
 from .structure import _analyze
 
 __all__ = [
@@ -68,28 +67,40 @@ def gen_paw() -> Digraph:
     return Digraph(4, [(0, 3), (1, 2), (2, 3), (3, 1)])
 
 
-@dataclass(frozen=True)
-class DhkSpec:
-    """Parameters of the layered subset family: h odd >= 3, k >= 2."""
+class DhkSpec(_Record):
+    """Parameters of the layered subset family: h odd >= 3, k >= 2; immutable."""
 
-    h: int
-    k: int
-    variant: str = "ids_free"  # "ids_free" | "with_ids"
-    rules: str = "text"  # "text" | "figure"
+    __slots__ = ("h", "k", "variant", "rules")
 
-    def __post_init__(self) -> None:
-        if self.h < 3 or self.h % 2 == 0:
+    def __init__(
+        self,
+        h: int,
+        k: int,
+        variant: str = "ids_free",  # "ids_free" | "with_ids"
+        rules: str = "text",  # "text" | "figure"
+    ) -> None:
+        if h < 3 or h % 2 == 0:
             raise ValueError("h must be odd and at least 3")
-        if self.k < 2:
+        if k < 2:
             raise ValueError("k must be at least 2")
-        if self.variant not in ("ids_free", "with_ids"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.rules not in ("text", "figure"):
-            raise ValueError(f"unknown rules {self.rules!r}")
+        if variant not in ("ids_free", "with_ids"):
+            raise ValueError(f"unknown variant {variant!r}")
+        if rules not in ("text", "figure"):
+            raise ValueError(f"unknown rules {rules!r}")
+        for name, value in zip(self.__slots__, (h, k, variant, rules)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
-@dataclass(frozen=True)
-class DhkGraph:
+class DhkGraph(NamedTuple):
     """A constructed D_{h,k} instance with its intended layer labeling and the
     realized structural diagnostics."""
 
@@ -214,8 +225,7 @@ def cartesian_product(g: Digraph, h: Digraph, max_vertices: int = _MAX_VERTICES)
     return Digraph(n, arcs)
 
 
-@dataclass(frozen=True)
-class UndirectedGraph:
+class UndirectedGraph(NamedTuple):
     """Simple undirected graph; edges stored as (u, v) with u < v."""
 
     n: int
@@ -261,10 +271,16 @@ def cn_box_cn_ids(n: int) -> frozenset[int]:
     return members
 
 
+def _check_prob(arc_prob: float) -> None:
+    if not 0 <= arc_prob <= 1:  # also false for NaN
+        raise ValueError(f"arc probability must be in [0, 1], got {arc_prob}")
+
+
 def random_dag(n: int, arc_prob: float, seed: int) -> Digraph:
     """Acyclic: arcs only follow a random vertex order."""
     if n < 1:
         raise ValueError("n must be positive")
+    _check_prob(arc_prob)
     rng = random.Random(seed)
     order = list(range(n))
     rng.shuffle(order)
@@ -281,6 +297,7 @@ def random_digraph(n: int, arc_prob: float, seed: int) -> Digraph:
     """Each ordered pair becomes an arc independently."""
     if n < 1:
         raise ValueError("n must be positive")
+    _check_prob(arc_prob)
     rng = random.Random(seed)
     arcs = [
         (u, v)
@@ -296,6 +313,7 @@ def random_oriented_bipartite(a: int, b: int, arc_prob: float, seed: int) -> Dig
     random direction, so there are never antiparallel pairs."""
     if a < 1 or b < 1:
         raise ValueError("both parts must be nonempty")
+    _check_prob(arc_prob)
     rng = random.Random(seed)
     arcs = []
     for x in range(a):
@@ -316,6 +334,7 @@ def random_layered_strong(
         raise ValueError("h and layer_size must be positive")
     if h == 1:
         raise ValueError("layers need h >= 2 (a single layer admits no arcs)")
+    _check_prob(arc_prob)
     rng = random.Random(seed)
     s = layer_size
     vertex = lambda i, j: i * s + j

@@ -10,10 +10,9 @@ search-based solvers share a global step budget; exhausting it raises
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .digraph import Digraph, induced_subgraph, is_ids
+from .digraph import Digraph, _Record, induced_subgraph, is_ids
 from .structure import LayerDecomposition, _analyze, _Analysis, sccs
 
 __all__ = [
@@ -55,17 +54,27 @@ class InternalError(RuntimeError):
     """A solver's own result failed its verification: a bug, never an answer."""
 
 
-@dataclass
-class SolverStats:
-    seeds_explored: int = 0
-    subsets_explored: int = 0
-    recursion_depth: int = 0
-    elapsed: float = 0.0  # seconds of the whole call, analysis and verification included
-    budget_used: int = 0  # steps charged to the search budget; 0 without a search
+class SolverStats(_Record):
+    """Counters of one solve call: mutable, compared field by field."""
+
+    __slots__ = ("seeds_explored", "subsets_explored", "recursion_depth", "elapsed", "budget_used")
+
+    def __init__(
+        self,
+        seeds_explored: int = 0,
+        subsets_explored: int = 0,
+        recursion_depth: int = 0,
+        elapsed: float = 0.0,  # seconds of the whole call, analysis and verification included
+        budget_used: int = 0,  # steps charged to the search budget; 0 without a search
+    ) -> None:
+        self.seeds_explored = seeds_explored
+        self.subsets_explored = subsets_explored
+        self.recursion_depth = recursion_depth
+        self.elapsed = elapsed
+        self.budget_used = budget_used
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+class SolveOutcome(NamedTuple):
     status: str  # "found" | "none"
     set: frozenset[int] | None
     method: str
@@ -76,8 +85,7 @@ class SolveOutcome:
         return self.status == "found"
 
 
-@dataclass(frozen=True)
-class PropagationResult:
+class PropagationResult(NamedTuple):
     consistent: bool
     union: frozenset[int] | None = None
     failed_step: int | None = None
@@ -620,6 +628,8 @@ def _ids_mask(out_masks: tuple[int, ...], full: int, mask: int) -> bool:
 
 
 def _check_cap(graph: Digraph, cap: int, what: str = "brute-force") -> None:
+    if cap < 0:
+        raise ValueError(f"the {what} cap must be at least 0, got {cap}")
     if graph.n > cap:
         raise CapExceeded(f"n={graph.n} exceeds {what} cap {cap}")
 

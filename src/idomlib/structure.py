@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from typing import NamedTuple
 
 from .digraph import Digraph
 
@@ -22,8 +22,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SccDecomposition:
+class SccDecomposition(NamedTuple):
     """SCC partition of a digraph.
 
     ``components`` is listed in reverse topological order: every arc between
@@ -92,8 +91,7 @@ def is_strongly_connected(graph: Digraph) -> bool:
     return graph.n > 0 and len(sccs(graph).components) == 1
 
 
-@dataclass(frozen=True)
-class Condensation:
+class Condensation(NamedTuple):
     """Acyclic quotient over component ids, plus the underlying SCC partition."""
 
     dag: Digraph
@@ -117,16 +115,22 @@ def condensation(graph: Digraph) -> Condensation:
     return _condense(graph, sccs(graph))
 
 
-@dataclass(frozen=True)
 class _Analysis:
     """One structure pass over a graph: its SCCs, the period of every
     component (0 for a single vertex), and, when the graph is strongly
     connected with at least 2 vertices, its layers (else none)."""
 
-    graph: Digraph
-    scc: SccDecomposition
-    periods: tuple[int, ...]
-    layers: tuple[tuple[int, ...], ...]
+    def __init__(
+        self,
+        graph: Digraph,
+        scc: SccDecomposition,
+        periods: tuple[int, ...],
+        layers: tuple[tuple[int, ...], ...],
+    ) -> None:
+        self.graph = graph
+        self.scc = scc
+        self.periods = periods
+        self.layers = layers
 
     @property
     def period(self) -> int:
@@ -206,8 +210,7 @@ def period(graph: Digraph) -> int:
     return _analyze(graph).period
 
 
-@dataclass(frozen=True)
-class LayerDecomposition:
+class LayerDecomposition(NamedTuple):
     """Partition of a strongly connected digraph into ``h`` layers such that
     every arc goes from layer ``i`` to layer ``(i + 1) mod h``."""
 

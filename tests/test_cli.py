@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -289,6 +292,18 @@ class TestGen:
         code, _, _ = run(capsys, "gen", "cycle", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("p", ["1.5", "-0.1", "nan"])
+    def test_arc_probability_outside_unit_interval(self, capsys, p):
+        for argv in (
+            ("random-dag", "5", p),
+            ("random-digraph", "5", p),
+            ("random-bipartite", "2", "3", p),
+            ("random-layered", "3", "2", p),
+        ):
+            code, out, err = run(capsys, "gen", *argv, "--seed", "1")
+            assert code == 2 and out == ""
+            assert err.startswith("error: arc probability must be in [0, 1], got ")
+
     @pytest.mark.parametrize("h, k", [("3", "17"), ("100001", "2"), ("3", "1000000000")])
     def test_dhk_over_the_vertex_guard_is_an_error(self, capsys, h, k):
         # D_(3,17) has 17 + 2 * (2^17 - 2) vertices, D_(100001,2) has 200002
@@ -342,6 +357,13 @@ class TestBrute:
         )
         assert json.loads(out) == {"what": "i", "value": None}
 
+    @pytest.mark.parametrize("what", ["exist", "i", "gamma", "idomatic"])
+    def test_negative_cap_is_a_usage_error(self, capsys, write_graph, what):
+        path = write_graph(gen_cycle(3))
+        code, out, err = run(capsys, "brute", path, "--what", what, "--cap", "-1")
+        assert code == 2 and out == ""
+        assert err.endswith("cap must be at least 0, got -1\n")
+
     def test_cap_exit_code(self, capsys, write_graph):
         code, _, err = run(
             capsys,
@@ -390,3 +412,35 @@ class TestRoundTrips:
         for family in self.FAMILIES:
             _, out, _ = run(capsys, "gen", *family)
             assert out == format_arc_list(parse_digraph(out).graph)
+
+
+class TestStartPath:
+    """``idom`` starts without the modules that only some calls need."""
+
+    SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    ENTRY = "import sys; from idomlib.cli import main; sys.exit(main())"
+
+    def child(self, *argv):
+        env = dict(os.environ, PYTHONPATH=self.SRC)
+        return subprocess.run(
+            [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+
+    def test_import_leaves_heavy_modules_unloaded(self):
+        # -S keeps site's own imports out of the count
+        script = (
+            "import sys, idomlib.cli; "
+            "print([m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules])"
+        )
+        result = self.child("-S", "-c", script)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+    def test_json_output_still_loads_json(self, write_graph):
+        path = write_graph(gen_cycle(4))
+        result = self.child("-c", self.ENTRY, "solve", path, "--json")
+        assert result.returncode == 0, result.stderr
+        doc = json.loads(result.stdout)
+        assert (doc["status"], doc["set"], doc["method"]) == ("found", [0, 2], "even-period")
+        result = self.child("-c", self.ENTRY, "analyze", path, "--json")
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == {"period": 4, "sccs": 1, "layers": [1, 1, 1, 1]}

@@ -247,6 +247,35 @@ class TestRandomGenerators:
             4, 3, 0.5, seed=7
         )
 
+    def test_seeded_streams_are_pinned(self):
+        assert sorted(random_dag(6, 0.4, seed=1).arcs) == [(0, 4), (2, 1), (3, 5), (5, 0)]
+        assert sorted(random_digraph(5, 0.3, seed=1).arcs) == [
+            (0, 1), (0, 4), (2, 0), (2, 1), (3, 1), (4, 0), (4, 3)
+        ]
+        assert sorted(random_oriented_bipartite(3, 3, 0.5, seed=1).arcs) == [
+            (0, 5), (1, 5), (2, 5), (3, 0), (3, 1), (4, 2)
+        ]
+        assert sorted(random_layered_strong(3, 2, 0.5, seed=1).arcs) == [
+            (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (2, 5), (3, 5), (4, 0), (4, 1), (5, 1)
+        ]
+
+    def test_arc_probability_bounds_are_legal(self):
+        assert [random_digraph(4, p, seed=1).m for p in (0, 1)] == [0, 12]
+        assert [random_dag(4, p, seed=1).m for p in (0, 1)] == [0, 6]
+        assert [random_oriented_bipartite(2, 2, p, seed=1).m for p in (0, 1)] == [0, 4]
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan"), float("inf")])
+    def test_arc_probability_outside_unit_interval(self, p):
+        builds = [
+            lambda: random_dag(5, p, seed=1),
+            lambda: random_digraph(5, p, seed=1),
+            lambda: random_oriented_bipartite(2, 3, p, seed=1),
+            lambda: random_layered_strong(3, 2, p, seed=1),
+        ]
+        for build in builds:
+            with pytest.raises(ValueError, match=r"arc probability must be in \[0, 1\]"):
+                build()
+
     def test_dag_is_acyclic(self):
         for seed in range(20):
             assert period(random_dag(12, 0.35, seed=seed)) == 0

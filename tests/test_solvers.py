@@ -557,6 +557,18 @@ class TestBruteParameters:
         with pytest.raises(CapExceeded):
             idomatic_brute(Digraph(15))
 
+    @pytest.mark.parametrize(
+        "oracle",
+        [brute_force_solve, enumerate_ids_brute, min_ids_size_brute,
+         min_dom_size_brute, idomatic_brute],
+    )
+    def test_negative_cap_is_a_value_error(self, oracle):
+        # a usage error like a negative budget, not a graph over the cap
+        for graph in (Digraph(0), gen_cycle(3)):
+            with pytest.raises(ValueError, match="cap must be at least 0, got -1"):
+                oracle(graph, cap=-1)
+        oracle(Digraph(0), cap=0)
+
 
 class TestSolveAuto:
     def test_dag_dispatch(self):
