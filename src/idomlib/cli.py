@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 negative answer under --status-exit, 2 input or
 usage error, 3 work budget or size cap exceeded, 4 internal error (an
 unexpected exception; never a verdict). The environment variable IDOM_BUDGET
-overrides the solver step budget; a value below 0 is a usage error.
+overrides the step budget of the solvers and the brute oracles; a value
+below 0 is a usage error.
 """
 
 from __future__ import annotations
@@ -227,14 +228,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_brute(args: argparse.Namespace) -> int:
     graph = _load(args.file)
     what = args.what
+    budget = _budget()
     if what == "exist":
-        value = brute_force_solve(graph, cap=args.cap, budget=_budget()).found
+        value = brute_force_solve(graph, cap=args.cap, budget=budget).found
     elif what == "i":
-        value = min_ids_size_brute(graph, cap=args.cap)
+        value = min_ids_size_brute(graph, cap=args.cap, budget=budget)
     elif what == "gamma":
-        value = min_dom_size_brute(graph, cap=args.cap)
+        value = min_dom_size_brute(graph, cap=args.cap, budget=budget)
     else:  # idomatic
-        value = idomatic_brute(graph, cap=args.cap)
+        value = idomatic_brute(graph, cap=args.cap, budget=budget)
     if args.json:
         _emit_json({"what": what, "value": value})
     else:

@@ -112,24 +112,44 @@ def _check_members(graph: Digraph, members: Iterable[int]) -> frozenset[int]:
     return s
 
 
-def is_independent(graph: Digraph, members: Iterable[int]) -> tuple[bool, list[tuple[int, int]]]:
-    """Whether no arc has both endpoints in the set; returns (flag, violating arcs)."""
+def _violations(
+    graph: Digraph, members: Iterable[int]
+) -> tuple[list[tuple[int, int]], list[int]]:
+    """(arcs inside the set, ascending; vertices outside it with no
+    in-neighbor in it, ascending). Reads ``members`` once, then walks only
+    their out-lists: O(n + sum of their out-degrees)."""
     s = _check_members(graph, members)
-    bad = sorted((u, v) for (u, v) in graph.arcs if u in s and v in s)
+    n, out_adj = graph.n, graph.out_adj
+    inside = bytearray(n)
+    for u in s:
+        inside[u] = 1
+    covered = bytearray(inside)
+    arcs = []
+    for u in s:
+        for v in out_adj[u]:
+            if inside[v]:
+                arcs.append((u, v))
+            covered[v] = 1
+    arcs.sort()
+    undominated = [v for v in range(n) if not covered[v]] if 0 in covered else []
+    return arcs, undominated
+
+
+def is_independent(graph: Digraph, members: Iterable[int]) -> tuple[bool, list[tuple[int, int]]]:
+    """Whether no arc has both endpoints in the set; returns (flag, the
+    violating arcs in ascending order). O(n + sum of the members'
+    out-degrees)."""
+    bad = _violations(graph, members)[0]
     return (not bad, bad)
 
 
 def is_dominating(graph: Digraph, members: Iterable[int]) -> tuple[bool, list[int]]:
     """Whether every vertex outside the set has an in-neighbor inside it.
 
-    Returns (flag, undominated vertices).
+    Returns (flag, the undominated vertices in ascending order). O(n + sum
+    of the members' out-degrees).
     """
-    s = _check_members(graph, members)
-    bad = [
-        v
-        for v in range(graph.n)
-        if v not in s and not any(u in s for u in graph.in_adj[v])
-    ]
+    bad = _violations(graph, members)[1]
     return (not bad, bad)
 
 
@@ -147,10 +167,11 @@ class IdsReport(NamedTuple):
 
 
 def is_ids(graph: Digraph, members: Iterable[int]) -> IdsReport:
-    """Verify a candidate independent dominating set, with witness lists."""
-    indep, arc_violations = is_independent(graph, members)
-    domin, undominated = is_dominating(graph, members)
-    return IdsReport(indep, domin, tuple(arc_violations), tuple(undominated))
+    """Verify a candidate independent dominating set, with witness lists.
+    One walk over the members' out-lists: O(n + sum of their out-degrees).
+    ``members`` is read once, so any iterable will do."""
+    arcs, undominated = _violations(graph, members)
+    return IdsReport(not arcs, not undominated, tuple(arcs), tuple(undominated))
 
 
 class Subgraph(NamedTuple):
@@ -161,12 +182,12 @@ class Subgraph(NamedTuple):
 
 
 def induced_subgraph(graph: Digraph, members: Iterable[int]) -> Subgraph:
-    """Induced subgraph on the given vertices, relabeled to 0..k-1 in old-id order."""
+    """Induced subgraph on the given vertices, relabeled to 0..k-1 in old-id
+    order. Reads only the kept vertices' out-lists."""
     keep = sorted(_check_members(graph, members))
     index = {old: new for new, old in enumerate(keep)}
-    arcs = [
-        (index[u], index[v]) for (u, v) in graph.arcs if u in index and v in index
-    ]
+    out_adj = graph.out_adj
+    arcs = [(index[u], index[v]) for u in keep for v in out_adj[u] if v in index]
     return Subgraph(Digraph(len(keep), arcs), tuple(keep))
 
 

@@ -232,9 +232,7 @@ def _even_odd(analysis: _Analysis) -> tuple[frozenset[int], frozenset[int]]:
     if h % 2 == 1:
         raise ValueError(f"period {h} is odd")
     layers = analysis.layers
-    evens = frozenset(v for i in range(0, h, 2) for v in layers[i])
-    odds = frozenset(v for i in range(1, h, 2) for v in layers[i])
-    return evens, odds
+    return frozenset().union(*layers[0::2]), frozenset().union(*layers[1::2])
 
 
 def _solve_even_period(graph: Digraph, analysis: _Analysis, search: _Search) -> SolveOutcome:
@@ -634,19 +632,25 @@ def _check_cap(graph: Digraph, cap: int, what: str = "brute-force") -> None:
         raise CapExceeded(f"n={graph.n} exceeds {what} cap {cap}")
 
 
+def _subsets(n: int, search: _Search) -> Iterator[int]:
+    """Every subset of ``n`` vertices as a bitmask, in ascending order; the
+    search is charged for, and counts, each one."""
+    stats = search.stats
+    for mask in range(1 << n):
+        search.charge()
+        stats.subsets_explored += 1
+        yield mask
+
+
 def _ids_masks(
-    graph: Digraph, cap: int, search: _Search | None = None, what: str = "brute-force"
+    graph: Digraph, cap: int, search: _Search, what: str = "brute-force"
 ) -> Iterator[int]:
     """Every independent dominating set as a bitmask, in ascending order,
-    after the cap check; a search is charged for, and counts, every subset
-    scanned."""
+    after the cap check."""
     _check_cap(graph, cap, what)
     out_masks = graph.out_masks
     full = (1 << graph.n) - 1
-    for mask in range(1 << graph.n):
-        if search is not None:
-            search.charge()
-            search.stats.subsets_explored += 1
+    for mask in _subsets(graph.n, search):
         if _ids_mask(out_masks, full, mask):
             yield mask
 
@@ -661,30 +665,39 @@ def brute_force_solve(
     return search.finish(graph, None, "brute")
 
 
-def enumerate_ids_brute(graph: Digraph, cap: int = 20) -> list[frozenset[int]]:
+# The exhaustive oracles below take the work budget of the solvers: a step
+# is one vertex subset scanned (and, for the idomatic number, one family of
+# disjoint sets extended), and an exhausted budget raises BudgetExceeded.
+
+
+def enumerate_ids_brute(
+    graph: Digraph, cap: int = 20, budget: int | None = None
+) -> list[frozenset[int]]:
     """Every independent dominating set, in ascending bitmask order."""
-    return [frozenset(_bits(mask)) for mask in _ids_masks(graph, cap)]
+    return [frozenset(_bits(mask)) for mask in _ids_masks(graph, cap, _Search(budget))]
 
 
-def min_ids_size_brute(graph: Digraph, cap: int = 20) -> int | None:
+def min_ids_size_brute(graph: Digraph, cap: int = 20, budget: int | None = None) -> int | None:
     """Minimum size of an independent dominating set; None when there is none."""
+    search = _Search(budget)
     _check_cap(graph, cap)
     out_masks = graph.out_masks
     full = (1 << graph.n) - 1
     best: int | None = None
-    for mask in range(1 << graph.n):
+    for mask in _subsets(graph.n, search):
         if (best is None or mask.bit_count() < best) and _ids_mask(out_masks, full, mask):
             best = mask.bit_count()
     return best
 
 
-def min_dom_size_brute(graph: Digraph, cap: int = 20) -> int:
+def min_dom_size_brute(graph: Digraph, cap: int = 20, budget: int | None = None) -> int:
     """Minimum size of a (not necessarily independent) dominating set."""
+    search = _Search(budget)
     _check_cap(graph, cap)
     out_masks = graph.out_masks
     full = (1 << graph.n) - 1
     best = graph.n  # the whole vertex set always dominates
-    for mask in range(1 << graph.n):
+    for mask in _subsets(graph.n, search):
         if mask.bit_count() >= best:
             continue
         cover = mask
@@ -698,19 +711,21 @@ def min_dom_size_brute(graph: Digraph, cap: int = 20) -> int:
     return best
 
 
-def idomatic_brute(graph: Digraph, cap: int = 14) -> int:
+def idomatic_brute(graph: Digraph, cap: int = 14, budget: int | None = None) -> int:
     """Maximum number of pairwise vertex-disjoint independent dominating sets.
 
     Lists every set, then searches for the largest disjoint subfamily; 0 when
     the graph has no independent dominating set at all.
     """
-    masks = list(_ids_masks(graph, cap, what="idomatic"))
+    search = _Search(budget)
+    masks = list(_ids_masks(graph, cap, search, "idomatic"))
     if not masks:
         return 0
     best = 0
 
     def extend(start: int, used: int, count: int) -> None:
         nonlocal best
+        search.charge()
         best = max(best, count)
         if count + (len(masks) - start) <= best:
             return

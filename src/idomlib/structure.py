@@ -57,19 +57,22 @@ def sccs(graph: Digraph) -> SccDecomposition:
         work = [(root, iter(out_adj[root]))]
         while work:
             v, neighbors = work[-1]
+            low_v = low[v]  # kept in low[v] while a child is open
             for w in neighbors:
-                if index[w] == -1:
+                i = index[w]
+                if i == -1:
+                    low[v] = low_v
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
                     work.append((w, iter(out_adj[w])))
                     break
-                # on the stack: index[w] < n; complete: no-op
-                if index[w] < low[v]:
-                    low[v] = index[w]
+                # on the stack: i < n; complete: no-op
+                if i < low_v:
+                    low_v = i
             else:
                 work.pop()
-                if low[v] == index[v]:
+                if low_v == index[v]:
                     c = len(components)
                     comp = []
                     while True:
@@ -79,11 +82,11 @@ def sccs(graph: Digraph) -> SccDecomposition:
                         comp.append(w)
                         if w == v:
                             break
-                    components.append(tuple(sorted(comp)))
+                    components.append(tuple(sorted(comp)) if len(comp) > 1 else (v,))
                 if work:
                     parent = work[-1][0]
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
+                    if low_v < low[parent]:
+                        low[parent] = low_v
     return SccDecomposition(tuple(component_of), tuple(components))
 
 
@@ -165,6 +168,7 @@ def _analyze(graph: Digraph) -> _Analysis:
     out_adj = graph.out_adj
     s = sccs(graph)
     label = s.component_of
+    strong = len(s.components) == 1  # then every arc stays in the component
     level = [-1] * graph.n
     periods = []
     for c, comp in enumerate(s.components):
@@ -175,13 +179,13 @@ def _analyze(graph: Digraph) -> _Analysis:
             for u in queue:  # appended to as it is walked: breadth first
                 next_level = level[u] + 1
                 for v in out_adj[u]:
-                    if label[v] != c:
-                        continue
-                    if level[v] < 0:
-                        level[v] = next_level
-                        queue.append(v)
-                    else:  # a tree arc would add 0 to the gcd
-                        h = gcd(h, next_level - level[v])
+                    lv = level[v]
+                    if lv < 0:
+                        if strong or label[v] == c:
+                            level[v] = next_level
+                            queue.append(v)
+                    elif lv != next_level and (strong or label[v] == c):
+                        h = gcd(h, next_level - lv)  # a difference of 0 adds nothing
         periods.append(h)
     layers: tuple[tuple[int, ...], ...] = ()
     if len(periods) == 1 and periods[0]:

@@ -33,6 +33,33 @@ def dominating_double_loop(graph: Digraph, members) -> bool:
     return True
 
 
+def ids_report_by_arc_scan(graph: Digraph, members) -> tuple:
+    """The fields of ``is_ids``: (independent, dominating, arcs inside the
+    set, undominated vertices), from a scan of the whole arc list and a
+    double loop over vertices and members."""
+    s = set(members)
+    arcs = tuple(sorted((u, v) for u, v in graph.arcs if u in s and v in s))
+    undominated = tuple(
+        v
+        for v in range(graph.n)
+        if v not in s and not any((u, v) in graph.arcs for u in s)
+    )
+    return (not arcs, not undominated, arcs, undominated)
+
+
+class UnscannableArcs(frozenset):
+    """An arc set that answers membership and size but fails on iteration."""
+
+    def __iter__(self):
+        raise AssertionError("graph.arcs was scanned")
+
+
+def without_arc_scans(graph: Digraph) -> Digraph:
+    """The graph, with an ``arcs`` that fails any code reading all of it."""
+    graph.arcs = UnscannableArcs(graph.arcs)
+    return graph
+
+
 def all_ids_by_enumeration(graph: Digraph) -> set[frozenset[int]]:
     """Every independent dominating set, via itertools subset enumeration."""
     found = set()

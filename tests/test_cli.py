@@ -18,6 +18,7 @@ from idomlib import (
     gen_paw,
     gen_wheel,
     parse_digraph,
+    random_digraph,
 )
 from idomlib.cli import EXIT_INTERNAL, main
 
@@ -344,6 +345,23 @@ class TestBrute:
             assert code == 3 and out == "" and "budget of 3 steps" in err
         monkeypatch.setenv("IDOM_BUDGET", "8")
         assert run(capsys, "brute", path, "--what", "exist") == (0, "false\n", "")
+
+    @pytest.mark.parametrize("what, steps", [("i", 8), ("gamma", 8), ("idomatic", 8)])
+    def test_oracle_budget_env(self, capsys, write_graph, monkeypatch, what, steps):
+        # C_3 has 8 subsets and no set, so idomatic extends no family
+        path = write_graph(gen_cycle(3))
+        monkeypatch.setenv("IDOM_BUDGET", str(steps - 1))
+        code, out, err = run(capsys, "brute", path, "--what", what)
+        assert code == 3 and out == "" and f"budget of {steps - 1} steps" in err
+        monkeypatch.setenv("IDOM_BUDGET", str(steps))
+        assert run(capsys, "brute", path, "--what", what)[0] == 0
+
+    @pytest.mark.parametrize("what", ["i", "gamma", "idomatic"])
+    def test_budget_bounds_a_lifted_cap(self, capsys, write_graph, monkeypatch, what):
+        path = write_graph(random_digraph(26, 0.1, seed=1))
+        monkeypatch.setenv("IDOM_BUDGET", "10")
+        code, out, err = run(capsys, "brute", path, "--what", what, "--cap", "30")
+        assert code == 3 and out == "" and "budget of 10 steps" in err
 
     def test_exist_bad_budget_env(self, capsys, write_graph, monkeypatch):
         monkeypatch.setenv("IDOM_BUDGET", "lots")

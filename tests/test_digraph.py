@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -17,12 +18,15 @@ from idomlib import (
     out_closed_removal,
     parse_digraph,
     random_digraph,
+    solve_auto,
 )
 
 from helpers import (
     digraphs_with_subset,
     dominating_double_loop,
+    ids_report_by_arc_scan,
     independent_double_loop,
+    without_arc_scans,
 )
 
 
@@ -177,6 +181,14 @@ class TestVerifiers:
         with pytest.raises(ValueError, match="out of range"):
             is_ids(gen_cycle(3), {3})
 
+    def test_one_shot_iterable(self):
+        # the members are read once, so a generator is checked like a set
+        assert is_ids(gen_cycle(4), iter([0, 2])) == is_ids(gen_cycle(4), {0, 2})
+        assert is_ids(gen_cycle(4), (v for v in (0, 2))).ids
+        report = is_ids(gen_cycle(3), iter([0, 1]))
+        assert report.independence_violations == ((0, 1),)
+        assert report.dominating
+
 
 @given(digraphs_with_subset())
 def test_ids_report_is_conjunction_of_verifiers(case):
@@ -198,3 +210,51 @@ def test_dominating_agrees_with_double_loop_on_all_subsets(seed):
         assert is_independent(graph, members)[0] == independent_double_loop(
             graph, members
         )
+
+
+def _verifier_cases():
+    rng = random.Random(4242)
+    for seed in range(60):
+        graph = random_digraph(1 + seed % 25, (0.05, 0.15, 0.3)[seed % 3], seed=9000 + seed)
+        n = graph.n
+        subsets = [set(), set(range(n))]
+        subsets += [{v for v in range(n) if rng.random() < p} for p in (0.2, 0.4, 0.6)]
+        outcome = solve_auto(graph)
+        if outcome.found:
+            subsets.append(outcome.set)
+        for members in subsets:
+            yield graph, members
+
+
+def test_verifiers_agree_with_arc_scan():
+    for graph, members in _verifier_cases():
+        indep, dom, arcs, undominated = expected = ids_report_by_arc_scan(graph, members)
+        assert tuple(is_ids(graph, members)) == expected
+        assert is_independent(graph, members) == (indep, list(arcs))
+        assert is_dominating(graph, members) == (dom, list(undominated))
+
+
+class TestNoFullArcScan:
+    """Verification and induced subgraphs read only the out-lists they need."""
+
+    def test_probe_catches_a_scan(self):
+        g = without_arc_scans(gen_cycle(4))
+        with pytest.raises(AssertionError, match="scanned"):
+            format_arc_list(g)
+        assert (0, 1) in g.arcs and g.m == 4
+
+    def test_verifiers(self):
+        for graph, members in _verifier_cases():
+            expected = is_ids(graph, members)
+            probe = without_arc_scans(Digraph(graph.n, graph.arcs))
+            assert is_ids(probe, members) == expected
+            assert is_independent(probe, members)[0] == expected.independent
+            assert is_dominating(probe, members)[0] == expected.dominating
+
+    def test_induced_subgraph_and_removal(self):
+        g = random_digraph(30, 0.1, seed=17)
+        keep = set(range(0, 30, 3))
+        expected = induced_subgraph(g, keep), out_closed_removal(g, keep)
+        probe = without_arc_scans(Digraph(g.n, g.arcs))
+        assert (induced_subgraph(probe, keep), out_closed_removal(probe, keep)) == expected
+        assert induced_subgraph(probe, ()).graph == Digraph(0)

@@ -59,6 +59,7 @@ from helpers import (
     odd_cycle_free_digraphs,
     strongly_connected_samples,
     symmetric_arc_digraphs,
+    without_arc_scans,
 )
 
 OUT_STAR = Digraph(4, [(0, 1), (0, 2), (0, 3)])
@@ -558,6 +559,32 @@ class TestBruteParameters:
             idomatic_brute(Digraph(15))
 
     @pytest.mark.parametrize(
+        "oracle, graph, steps, value",
+        [
+            (min_ids_size_brute, gen_cycle(3), 8, None),
+            (min_dom_size_brute, gen_cycle(3), 8, 2),
+            (enumerate_ids_brute, gen_cycle(4), 16, [frozenset({0, 2}), frozenset({1, 3})]),
+            # 16 subsets, then 4 extensions of the family {0,2}, {1,3}
+            (idomatic_brute, gen_cycle(4), 20, 2),
+        ],
+        ids=["i", "gamma", "enumerate", "idomatic"],
+    )
+    def test_budget(self, oracle, graph, steps, value):
+        # a step per subset scanned, as in brute_force_solve
+        assert oracle(graph, budget=steps) == value
+        with pytest.raises(BudgetExceeded, match=f"budget of {steps - 1} steps"):
+            oracle(graph, budget=steps - 1)
+        with pytest.raises(ValueError, match="at least 0, got -1"):
+            oracle(graph, budget=-1)
+
+    def test_budget_bounds_a_lifted_cap(self):
+        # 2^26 subsets: without a budget this scan would not end in time
+        g = random_digraph(26, 0.1, seed=1)
+        for oracle in (min_ids_size_brute, min_dom_size_brute, idomatic_brute):
+            with pytest.raises(BudgetExceeded):
+                oracle(g, cap=30, budget=1000)
+
+    @pytest.mark.parametrize(
         "oracle",
         [brute_force_solve, enumerate_ids_brute, min_ids_size_brute,
          min_dom_size_brute, idomatic_brute],
@@ -599,6 +626,30 @@ class TestSolveAuto:
         assert outcome.status == brute_force_solve(g).status
         outcome = solve_auto(Digraph(4, arcs + [(1, 0)]))
         assert outcome.method == "symmetric-arc" and outcome.found
+
+
+class TestLinearPathsReadNoArcList:
+    """``solve_auto`` on acyclic and even-period graphs never scans
+    ``graph.arcs``: analysis, construction and verification all walk the
+    adjacency lists."""
+
+    @pytest.mark.parametrize(
+        "graph, method",
+        [
+            (gen_path(50), "dag-greedy"),
+            (random_dag(60, 0.1, seed=3), "dag-greedy"),
+            (gen_cycle(40), "even-period"),
+            (cartesian_product(gen_cycle(6), gen_cycle(8)), "even-period"),
+            (random_layered_strong(4, 10, 0.2, seed=5), "even-period"),
+        ],
+        ids=["path", "random-dag", "C40", "C6xC8", "layered-4x10"],
+    )
+    def test_solve_auto(self, graph, method):
+        expected = solve_auto(graph)
+        outcome = solve_auto(without_arc_scans(Digraph(graph.n, graph.arcs)))
+        assert (outcome.status, outcome.set, outcome.method) == (
+            expected.status, expected.set, method,
+        )
 
 
 class TestKernelPerfect:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from idomlib import (
     Digraph,
     DhkSpec,
+    cartesian_product,
     condensation,
     cycle_gcd_oracle,
     gen_cycle,
@@ -16,9 +18,12 @@ from idomlib import (
     period,
     random_dag,
     random_digraph,
+    random_layered_strong,
     scc_period,
     sccs,
 )
+
+from idomlib.structure import _analyze
 
 from helpers import disjoint_union, strongly_connected_samples
 
@@ -194,3 +199,50 @@ def test_strong_connectivity_checks():
     assert not is_strongly_connected(gen_path(4))
     assert is_strongly_connected(Digraph(1))
     assert not is_strongly_connected(Digraph(0))
+
+
+def _pinned_corpus(family):
+    if family == "random":
+        return [
+            random_digraph(1 + seed % 40, (0.02, 0.06, 0.12, 0.25)[seed % 4], seed)
+            for seed in range(240)
+        ]
+    if family == "layered":
+        return [
+            random_layered_strong(h, size, 0.3, 10 * h + size)
+            for h in range(2, 8)
+            for size in range(1, 6)
+        ]
+    if family == "torus":
+        return [
+            cartesian_product(gen_cycle(a), gen_cycle(b))
+            for a in range(2, 10)
+            for b in range(2, 10)
+        ]
+    return [
+        gen_dhk(DhkSpec(h, k, variant)).graph
+        for h in (3, 5, 7)
+        for k in (3, 4, 5)
+        for variant in ("ids_free", "with_ids")
+    ]
+
+
+@pytest.mark.parametrize(
+    "family, digest",
+    [
+        ("random", "32c0d46525340fc8"),
+        ("layered", "d47943a5f9a7abf8"),
+        ("torus", "f6f7cf1129af2597"),
+        ("dhk", "4aa572a24686163a"),
+    ],
+)
+def test_structure_output_is_pinned(family, digest):
+    # sccs' component order and component_of, and the periods and layers of
+    # the structure pass, as taken from the plain Tarjan and BFS before they
+    # were tuned; a faster pass must reproduce them exactly
+    h = hashlib.sha256()
+    for g in _pinned_corpus(family):
+        s = sccs(g)
+        analysis = _analyze(g)
+        h.update(repr((s.component_of, s.components, analysis.periods, analysis.layers)).encode())
+    assert h.hexdigest()[:16] == digest
