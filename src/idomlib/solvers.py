@@ -632,25 +632,19 @@ def _check_cap(graph: Digraph, cap: int, what: str = "brute-force") -> None:
         raise CapExceeded(f"n={graph.n} exceeds {what} cap {cap}")
 
 
-def _subsets(n: int, search: _Search) -> Iterator[int]:
-    """Every subset of ``n`` vertices as a bitmask, in ascending order; the
-    search is charged for, and counts, each one."""
-    stats = search.stats
-    for mask in range(1 << n):
-        search.charge()
-        stats.subsets_explored += 1
-        yield mask
-
-
 def _ids_masks(
     graph: Digraph, cap: int, search: _Search, what: str = "brute-force"
 ) -> Iterator[int]:
     """Every independent dominating set as a bitmask, in ascending order,
-    after the cap check."""
+    after the cap check; the search is charged for, and counts, every
+    subset scanned."""
     _check_cap(graph, cap, what)
     out_masks = graph.out_masks
     full = (1 << graph.n) - 1
-    for mask in _subsets(graph.n, search):
+    stats = search.stats
+    for mask in range(1 << graph.n):
+        search.charge()
+        stats.subsets_explored += 1
         if _ids_mask(out_masks, full, mask):
             yield mask
 
@@ -665,26 +659,26 @@ def brute_force_solve(
     return search.finish(graph, None, "brute")
 
 
-# The exhaustive oracles below take the work budget of the solvers: a step
-# is one vertex subset scanned (and, for the idomatic number, one family of
-# disjoint sets extended), and an exhausted budget raises BudgetExceeded.
-
-
-def enumerate_ids_brute(
-    graph: Digraph, cap: int = 20, budget: int | None = None
-) -> list[frozenset[int]]:
+def enumerate_ids_brute(graph: Digraph, cap: int = 20) -> list[frozenset[int]]:
     """Every independent dominating set, in ascending bitmask order."""
-    return [frozenset(_bits(mask)) for mask in _ids_masks(graph, cap, _Search(budget))]
+    return [frozenset(_bits(mask)) for mask in _ids_masks(graph, cap, _Search())]
+
+
+# The oracles below take the work budget of the solvers: a step is one
+# vertex subset scanned (and, for the idomatic number, one family of
+# disjoint sets extended), and an exhausted budget raises BudgetExceeded.
+# The size scans read every subset, so they charge all 2^n before starting.
 
 
 def min_ids_size_brute(graph: Digraph, cap: int = 20, budget: int | None = None) -> int | None:
     """Minimum size of an independent dominating set; None when there is none."""
     search = _Search(budget)
     _check_cap(graph, cap)
+    search.charge(1 << graph.n)
     out_masks = graph.out_masks
     full = (1 << graph.n) - 1
     best: int | None = None
-    for mask in _subsets(graph.n, search):
+    for mask in range(1 << graph.n):
         if (best is None or mask.bit_count() < best) and _ids_mask(out_masks, full, mask):
             best = mask.bit_count()
     return best
@@ -694,10 +688,11 @@ def min_dom_size_brute(graph: Digraph, cap: int = 20, budget: int | None = None)
     """Minimum size of a (not necessarily independent) dominating set."""
     search = _Search(budget)
     _check_cap(graph, cap)
+    search.charge(1 << graph.n)
     out_masks = graph.out_masks
     full = (1 << graph.n) - 1
     best = graph.n  # the whole vertex set always dominates
-    for mask in _subsets(graph.n, search):
+    for mask in range(1 << graph.n):
         if mask.bit_count() >= best:
             continue
         cover = mask

@@ -168,7 +168,6 @@ def _analyze(graph: Digraph) -> _Analysis:
     out_adj = graph.out_adj
     s = sccs(graph)
     label = s.component_of
-    strong = len(s.components) == 1  # then every arc stays in the component
     level = [-1] * graph.n
     periods = []
     for c, comp in enumerate(s.components):
@@ -179,13 +178,14 @@ def _analyze(graph: Digraph) -> _Analysis:
             for u in queue:  # appended to as it is walked: breadth first
                 next_level = level[u] + 1
                 for v in out_adj[u]:
+                    if label[v] != c:
+                        continue
                     lv = level[v]
                     if lv < 0:
-                        if strong or label[v] == c:
-                            level[v] = next_level
-                            queue.append(v)
-                    elif lv != next_level and (strong or label[v] == c):
-                        h = gcd(h, next_level - lv)  # a difference of 0 adds nothing
+                        level[v] = next_level
+                        queue.append(v)
+                    elif lv != next_level:  # a difference of 0 adds nothing
+                        h = gcd(h, next_level - lv)
         periods.append(h)
     layers: tuple[tuple[int, ...], ...] = ()
     if len(periods) == 1 and periods[0]:

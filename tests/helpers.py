@@ -47,8 +47,20 @@ def ids_report_by_arc_scan(graph: Digraph, members) -> tuple:
     return (not arcs, not undominated, arcs, undominated)
 
 
-class UnscannableArcs(frozenset):
-    """An arc set that answers membership and size but fails on iteration."""
+class UnscannableArcs:
+    """An arc set that answers membership and size but fails on iteration.
+
+    Not a set subclass, so no set operation can read it without calling
+    ``__iter__`` (which fails) or being refused with ``TypeError``."""
+
+    def __init__(self, arcs) -> None:
+        self._arcs = frozenset(arcs)
+
+    def __contains__(self, arc) -> bool:
+        return arc in self._arcs
+
+    def __len__(self) -> int:
+        return len(self._arcs)
 
     def __iter__(self):
         raise AssertionError("graph.arcs was scanned")

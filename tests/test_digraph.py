@@ -241,6 +241,13 @@ class TestNoFullArcScan:
         g = without_arc_scans(gen_cycle(4))
         with pytest.raises(AssertionError, match="scanned"):
             format_arc_list(g)
+        for read_whole in (set, frozenset, frozenset().union, set().update):
+            with pytest.raises(AssertionError, match="scanned"):
+                read_whole(g.arcs)
+        with pytest.raises(TypeError):
+            frozenset() | g.arcs
+        with pytest.raises(TypeError):
+            g.arcs <= frozenset()
         assert (0, 1) in g.arcs and g.m == 4
 
     def test_verifiers(self):
