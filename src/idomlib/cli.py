@@ -209,8 +209,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         graph = cartesian_product(_load(args.a), _load(args.b))
     elif family == "double":
         base = _load(args.g)
-        undirected = UndirectedGraph.from_edges(base.n, base.arcs)
-        graph = double_edges(undirected)
+        edges = [(u, v) for u, vs in enumerate(base.out_adj) for v in vs]
+        graph = double_edges(UndirectedGraph.from_edges(base.n, edges))
     elif family == "random-dag":
         graph = random_dag(args.n, args.p, args.seed)
     elif family == "random-bipartite":

@@ -53,41 +53,43 @@ class Digraph:
     """Immutable simple directed graph on vertices ``0 .. n-1``.
 
     Duplicate arcs collapse to a single arc and self-loops are rejected;
-    antiparallel pairs ``(u, v)`` / ``(v, u)`` are allowed. Adjacency lists
-    are sorted, so equal graphs have identical adjacency structure.
+    antiparallel pairs ``(u, v)`` / ``(v, u)`` are allowed. The sorted
+    adjacency lists are the only stored form, so equal graphs have identical
+    adjacency structure; ``arcs`` is derived from them on first read.
     """
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        unique: set[tuple[int, int]] = set()
+        out: list[list[int]] = [[] for _ in range(n)]
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop ({u}, {u}) is not allowed")
-            unique.add((u, v))
-        out: list[list[int]] = [[] for _ in range(n)]
-        inn: list[list[int]] = [[] for _ in range(n)]
-        for u, v in sorted(unique):
             out[u].append(v)
-            inn[v].append(u)
+        inn: list[list[int]] = [[] for _ in range(n)]
+        for u, vs in enumerate(out):
+            if len(vs) > 1:
+                vs = out[u] = sorted(set(vs))
+            for v in vs:
+                inn[v].append(u)  # u ascends, so every in-list comes out sorted
         self.n = n
-        self.arcs = frozenset(unique)
-        self.out_adj = tuple(tuple(vs) for vs in out)
-        self.in_adj = tuple(tuple(us) for us in inn)
+        self.m = sum(map(len, out))
+        self.out_adj = tuple(map(tuple, out))
+        self.in_adj = tuple(map(tuple, inn))
 
-    @property
-    def m(self) -> int:
-        return len(self.arcs)
+    @cached_property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        return frozenset((u, v) for u, vs in enumerate(self.out_adj) for v in vs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
             return NotImplemented
-        return self.n == other.n and self.arcs == other.arcs
+        return self.n == other.n and self.out_adj == other.out_adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self.arcs))
+        return hash((self.n, self.out_adj))
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, m={self.m})"
@@ -200,6 +202,14 @@ def out_closed_removal(graph: Digraph, members: Iterable[int]) -> Subgraph:
     return induced_subgraph(graph, (v for v in range(graph.n) if v not in removed))
 
 
+def _two_ints(line: str, parts: list[str]) -> tuple[int, int]:
+    """The two tokens of a data line, each ASCII digits after an optional
+    ``-``; ``int`` alone would also take ``+``, ``_`` and non-ASCII digits."""
+    if not line.isascii() or "+" in line or "_" in line:
+        raise ValueError(f"not ASCII decimals: {line!r}")
+    return int(parts[0]), int(parts[1])
+
+
 class ParsedArcList(NamedTuple):
     graph: Digraph
     duplicate_arcs: int
@@ -226,7 +236,7 @@ def parse_digraph(text: str) -> ParsedArcList:
     if len(parts) != 2:
         raise ParseError(f"line {header_line}: header must be 'n m'")
     try:
-        n, m = int(parts[0]), int(parts[1])
+        n, m = _two_ints(header, parts)
     except ValueError:
         raise ParseError(f"line {header_line}: header must be two integers") from None
     if n < 0 or m < 0:
@@ -240,7 +250,7 @@ def parse_digraph(text: str) -> ParsedArcList:
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: arc line must be 'u v'")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _two_ints(line, parts)
         except ValueError:
             raise ParseError(f"line {lineno}: arc endpoints must be integers") from None
         if u == v:
@@ -248,12 +258,12 @@ def parse_digraph(text: str) -> ParsedArcList:
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"line {lineno}: arc ({u}, {v}) out of range for n={n}")
         arcs.append((u, v))
-    unique = set(arcs)
-    return ParsedArcList(Digraph(n, unique), len(arcs) - len(unique))
+    graph = Digraph(n, arcs)
+    return ParsedArcList(graph, len(arcs) - graph.m)
 
 
 def format_arc_list(graph: Digraph) -> str:
     """Normalized arc-list text: header then arcs sorted ascending, newline-terminated."""
     lines = [f"{graph.n} {graph.m}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(graph.arcs))
+    lines.extend(f"{u} {v}" for u, vs in enumerate(graph.out_adj) for v in vs)
     return "\n".join(lines) + "\n"

@@ -35,6 +35,7 @@ class GenerationError(ValueError):
 
 
 _MAX_VERTICES = 200_000  # size guard of the generators that multiply sizes
+_MAX_ATTEMPTS = 64  # resamplings of random_layered_strong before it gives up
 
 
 def gen_cycle(n: int) -> Digraph:
@@ -209,19 +210,18 @@ def gen_dhk(spec: DhkSpec, strict: bool = True) -> DhkGraph:
     return result
 
 
-def cartesian_product(g: Digraph, h: Digraph, max_vertices: int = _MAX_VERTICES) -> Digraph:
+def cartesian_product(g: Digraph, h: Digraph) -> Digraph:
     """Cartesian product: (x, u) -> (y, u) for arcs x -> y, and (x, u) -> (x, v)
     for arcs u -> v. Vertex (x, u) gets id x * h.n + u (row-major)."""
-    n = g.n * h.n
-    if n > max_vertices:
-        raise ValueError(f"product on {n} vertices exceeds guard of {max_vertices}")
-    arcs = []
-    for x, y in g.arcs:
-        for u in range(h.n):
-            arcs.append((x * h.n + u, y * h.n + u))
-    for u, v in h.arcs:
-        for x in range(g.n):
-            arcs.append((x * h.n + u, x * h.n + v))
+    n, k = g.n * h.n, h.n
+    if n > _MAX_VERTICES:
+        raise ValueError(f"product on {n} vertices exceeds guard of {_MAX_VERTICES}")
+    arcs = [
+        (x * k + u, y * k + u) for x, ys in enumerate(g.out_adj) for y in ys for u in range(k)
+    ]
+    arcs += [
+        (x * k + u, x * k + v) for u, vs in enumerate(h.out_adj) for v in vs for x in range(g.n)
+    ]
     return Digraph(n, arcs)
 
 
@@ -323,9 +323,7 @@ def random_oriented_bipartite(a: int, b: int, arc_prob: float, seed: int) -> Dig
     return Digraph(a + b, arcs)
 
 
-def random_layered_strong(
-    h: int, layer_size: int, arc_prob: float, seed: int, max_attempts: int = 64
-) -> Digraph:
+def random_layered_strong(h: int, layer_size: int, arc_prob: float, seed: int) -> Digraph:
     """Strongly connected with period exactly h: layers of equal size, arcs
     only between consecutive layers. A spanning cycle through all vertices
     guarantees strong connectivity (and a period divisible by h); random
@@ -338,19 +336,19 @@ def random_layered_strong(
     rng = random.Random(seed)
     s = layer_size
     vertex = lambda i, j: i * s + j
-    for _ in range(max_attempts):
-        arcs = set()
+    for _ in range(_MAX_ATTEMPTS):
+        arcs = []
         for i in range(h):
             nxt = (i + 1) % h
             for j in range(s):
                 target = (j + 1) % s if i == 0 else j
-                arcs.add((vertex(i, j), vertex(nxt, target)))
+                arcs.append((vertex(i, j), vertex(nxt, target)))
         for i in range(h):
             nxt = (i + 1) % h
             for j in range(s):
                 for j2 in range(s):
                     if rng.random() < arc_prob:
-                        arcs.add((vertex(i, j), vertex(nxt, j2)))
+                        arcs.append((vertex(i, j), vertex(nxt, j2)))
         graph = Digraph(h * s, arcs)
         analysis = _analyze(graph)
         if not analysis.strong:
@@ -358,6 +356,6 @@ def random_layered_strong(
         if analysis.period == h:
             return graph
     raise GenerationError(
-        f"could not hit period {h} in {max_attempts} attempts "
+        f"could not hit period {h} in {_MAX_ATTEMPTS} attempts "
         f"(h={h}, layer_size={layer_size}, arc_prob={arc_prob}, seed={seed})"
     )

@@ -256,11 +256,7 @@ def two_disjoint_ids(graph: Digraph) -> tuple[frozenset[int], frozenset[int]]:
 
 
 def _two_coloring(graph: Digraph) -> list[int]:
-    n = graph.n
-    undirected: list[list[int]] = [[] for _ in range(n)]
-    for u, v in graph.arcs:
-        undirected[u].append(v)
-        undirected[v].append(u)
+    n, out_adj, in_adj = graph.n, graph.out_adj, graph.in_adj
     color = [-1] * n
     for start in range(n):
         if color[start] != -1:
@@ -269,7 +265,7 @@ def _two_coloring(graph: Digraph) -> list[int]:
         queue = [start]
         while queue:
             u = queue.pop()
-            for w in undirected[u]:
+            for w in out_adj[u] + in_adj[u]:
                 if color[w] == -1:
                     color[w] = 1 - color[u]
                     queue.append(w)
@@ -367,7 +363,7 @@ def propagate_layer_seed(
         raise ValueError("layers do not cover the graph's vertices")
     if not (0 <= k < h):
         raise ValueError(f"layer index {k} out of range for h={h}")
-    if any(layer_of[v] != (layer_of[u] + 1) % h for u, v in graph.arcs):
+    if any(layer_of[v] != (layer_of[u] + 1) % h for u, vs in enumerate(graph.out_adj) for v in vs):
         raise ValueError("an arc does not go from layer i to layer i+1 mod h")
     if len(sccs(graph).components) != 1:
         raise ValueError("graph is not strongly connected")

@@ -106,11 +106,8 @@ class Condensation(NamedTuple):
 
 
 def _condense(graph: Digraph, s: SccDecomposition) -> Condensation:
-    arcs = {
-        (s.component_of[u], s.component_of[v])
-        for (u, v) in graph.arcs
-        if s.component_of[u] != s.component_of[v]
-    }
+    cid = s.component_of
+    arcs = [(cid[u], cid[v]) for u, vs in enumerate(graph.out_adj) for v in vs if cid[u] != cid[v]]
     return Condensation(Digraph(len(s.components), arcs), s)
 
 

@@ -72,6 +72,20 @@ def without_arc_scans(graph: Digraph) -> Digraph:
     return graph
 
 
+def record_built_graphs(monkeypatch) -> list[Digraph]:
+    """Every ``Digraph`` built from now on, in build order, through a
+    ``monkeypatch`` wrapper around the constructor."""
+    built: list[Digraph] = []
+    init = Digraph.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Digraph, "__init__", recording_init)
+    return built
+
+
 def all_ids_by_enumeration(graph: Digraph) -> set[frozenset[int]]:
     """Every independent dominating set, via itertools subset enumeration."""
     found = set()

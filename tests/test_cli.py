@@ -22,6 +22,8 @@ from idomlib import (
 )
 from idomlib.cli import EXIT_INTERNAL, main
 
+from helpers import record_built_graphs
+
 
 @pytest.fixture
 def write_graph(tmp_path):
@@ -82,6 +84,13 @@ class TestAnalyze:
     def test_parse_error_exit_code(self, capsys, write_graph):
         code, _, err = run(capsys, "analyze", write_graph("1 1\n0 0\n"))
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize(
+        "text", ["1_0 0\n", "2 1\n+1 0\n", "3 1\n0 1_0\n", "2 1\n0 \u0662\n"]
+    )
+    def test_non_decimal_token_exit_code(self, capsys, write_graph, text):
+        code, out, err = run(capsys, "analyze", write_graph(text))
+        assert code == 2 and out == "" and err.startswith("error: ")
 
     def test_duplicate_warning(self, capsys, write_graph):
         code, _, err = run(capsys, "analyze", write_graph("2 2\n0 1\n0 1\n"))
@@ -430,6 +439,34 @@ class TestRoundTrips:
         for family in self.FAMILIES:
             _, out, _ = run(capsys, "gen", *family)
             assert out == format_arc_list(parse_digraph(out).graph)
+
+
+class TestNoArcSet:
+    """No subcommand builds a graph's ``arcs`` set: every graph made while
+    it runs is checked afterwards."""
+
+    def test_subcommands(self, capsys, write_graph, monkeypatch):
+        c5 = write_graph(gen_cycle(5))
+        torus = write_graph(cartesian_product(gen_cycle(2), gen_cycle(4)))
+        chain = write_graph("5 6\n0 1\n1 0\n2 3\n3 2\n2 0\n4 2\n")
+        calls = [("analyze", c5), ("analyze", torus, "--json"), ("analyze", chain)]
+        for path in (c5, torus, chain):
+            calls += [("solve", path, "--method", m) for m in ("auto", "exact", "brute")]
+            calls += [("verify", path, "--set", "0,1"), ("brute", path, "--what", "i")]
+        calls += [
+            ("solve", torus, "--method", "even"),
+            ("solve", torus, "--method", "layers", "--json"),
+            ("solve", torus, "--method", "bipartite"),
+            ("solve", write_graph("3 2\n0 1\n1 2\n"), "--method", "dag"),
+            ("verify", torus, "--set", "0,2", "--json"),
+            ("gen", "product", c5, chain),
+            ("gen", "double", chain),
+        ]
+        calls += [("gen", *family) for family in TestRoundTrips.FAMILIES]
+        built = record_built_graphs(monkeypatch)
+        for argv in calls:
+            assert run(capsys, *argv)[0] == 0, argv
+        assert len(built) > len(calls) and all("arcs" not in g.__dict__ for g in built)
 
 
 class TestStartPath:

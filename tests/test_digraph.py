@@ -78,6 +78,20 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_digraph("a b\n")
 
+    @pytest.mark.parametrize(
+        "text", ["1_0 0\n", "+2 0\n", "2 1\n+1 0\n", "3 1\n0 1_0\n", "2 1\n0 \u0662\n"]
+    )
+    def test_non_decimal_tokens_rejected(self, text):
+        # int() alone reads these as 10, 2, 1, 10 and 2
+        with pytest.raises(ParseError, match="integers"):
+            parse_digraph(text)
+
+    def test_leading_minus_keeps_its_messages(self):
+        with pytest.raises(ParseError, match="counts must be non-negative"):
+            parse_digraph("-1 0\n")
+        with pytest.raises(ParseError, match=r"arc \(-1, 0\) out of range"):
+            parse_digraph("2 1\n-1 0\n")
+
     def test_wrong_arc_count_rejected(self):
         with pytest.raises(ParseError, match="expected 2 arc lines"):
             parse_digraph("3 2\n0 1\n")
@@ -240,7 +254,7 @@ class TestNoFullArcScan:
     def test_probe_catches_a_scan(self):
         g = without_arc_scans(gen_cycle(4))
         with pytest.raises(AssertionError, match="scanned"):
-            format_arc_list(g)
+            sorted(g.arcs)
         for read_whole in (set, frozenset, frozenset().union, set().update):
             with pytest.raises(AssertionError, match="scanned"):
                 read_whole(g.arcs)
