@@ -13,7 +13,7 @@ import time
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .digraph import Digraph, _Record, induced_subgraph, is_ids
-from .structure import LayerDecomposition, _analyze, _Analysis, sccs
+from .structure import LayerDecomposition, _analyze, _Analysis, _strong, sccs
 
 __all__ = [
     "BudgetExceeded",
@@ -187,9 +187,19 @@ def _kernel(graph: Digraph) -> list[int] | None:
     symmetric arc (Duchet 1980: such a graph and its reverse have kernels).
     """
     out_adj, in_adj = graph.out_adj, graph.in_adj
-    counted = [
-        tuple(w for w in ws if w not in back) for ws, back in zip(out_adj, map(set, in_adj))
-    ]
+    counted: list[Sequence[int]] = []  # v's out-neighbours w with no arc w -> v
+    for ws, back in zip(out_adj, in_adj):
+        if not back:
+            counted.append(ws)
+            continue
+        keep = []
+        j, nb = 0, len(back)
+        for w in ws:  # both lists ascend: a merge
+            while j < nb and back[j] < w:
+                j += 1
+            if j == nb or back[j] != w:
+                keep.append(w)
+        counted.append(keep)
     # v has as many symmetric in-arcs as symmetric out-arcs
     indeg = [len(in_adj[v]) - len(out_adj[v]) + len(counted[v]) for v in range(graph.n)]
     alive = bytearray(b"\x01") * graph.n
@@ -365,7 +375,7 @@ def propagate_layer_seed(
         raise ValueError(f"layer index {k} out of range for h={h}")
     if any(layer_of[v] != (layer_of[u] + 1) % h for u, vs in enumerate(graph.out_adj) for v in vs):
         raise ValueError("an arc does not go from layer i to layer i+1 mod h")
-    if len(sccs(graph).components) != 1:
+    if not _strong(graph):
         raise ValueError("graph is not strongly connected")
     if not seed_set <= layers.layers[k]:
         raise ValueError("seed is not a subset of layer k")

@@ -34,12 +34,49 @@ class SccDecomposition(NamedTuple):
     components: tuple[tuple[int, ...], ...]
 
 
-def sccs(graph: Digraph) -> SccDecomposition:
-    """Strongly connected components via iterative Tarjan.
+def _reaches_all(adj: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether vertex 0 reaches every vertex along ``adj``: one sweep."""
+    seen = [False] * len(adj)
+    seen[0] = True
+    order = [0]
+    visit = order.append
+    for u in order:  # appended to as it is walked
+        for v in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                visit(v)
+    return len(order) == len(adj)
 
-    Vertices and neighbors are visited in ascending order, so the output is
-    deterministic; components come out in reverse topological order.
+
+def _strong(graph: Digraph) -> bool:
+    """Whether the graph is strongly connected: vertex 0 reaches every
+    vertex and every vertex reaches vertex 0 (the forward-backward test of
+    Fleischer, Hendrickson & Pinar 2000), O(n + m) and no DFS. A single
+    vertex is strongly connected and the empty graph is not; with 2 or more
+    vertices, a vertex with no in-arc or no out-arc fails at once."""
+    n = graph.n
+    if n < 2:
+        return n == 1
+    out_adj, in_adj = graph.out_adj, graph.in_adj
+    return all(in_adj) and all(out_adj) and _reaches_all(out_adj) and _reaches_all(in_adj)
+
+
+def sccs(graph: Digraph) -> SccDecomposition:
+    """Strongly connected components. A strongly connected graph is
+    recognised by the two sweeps of ``_strong`` and comes back as one
+    component; any other graph goes through iterative Tarjan. O(n + m)
+    either way.
+
+    Tarjan visits vertices and neighbors in ascending order, so the output
+    is deterministic; components come out in reverse topological order.
     """
+    if _strong(graph):
+        return SccDecomposition((0,) * graph.n, (tuple(range(graph.n)),))
+    return _tarjan(graph)
+
+
+def _tarjan(graph: Digraph) -> SccDecomposition:
+    """Iterative Tarjan (1972)."""
     n = graph.n
     out_adj = graph.out_adj
     index = [-1] * n  # n once the vertex's component is complete
@@ -91,7 +128,8 @@ def sccs(graph: Digraph) -> SccDecomposition:
 
 
 def is_strongly_connected(graph: Digraph) -> bool:
-    return graph.n > 0 and len(sccs(graph).components) == 1
+    """By two sweeps from vertex 0, without computing the components."""
+    return _strong(graph)
 
 
 class Condensation(NamedTuple):
@@ -167,23 +205,26 @@ def _analyze(graph: Digraph) -> _Analysis:
     label = s.component_of
     level = [-1] * graph.n
     periods = []
-    for c, comp in enumerate(s.components):
-        h = 0
-        if len(comp) >= 2:  # some arc closes a cycle, so h >= 1
-            level[comp[0]] = 0
-            queue = [comp[0]]
-            for u in queue:  # appended to as it is walked: breadth first
-                next_level = level[u] + 1
-                for v in out_adj[u]:
-                    if label[v] != c:
-                        continue
-                    lv = level[v]
-                    if lv < 0:
-                        level[v] = next_level
-                        queue.append(v)
-                    elif lv != next_level:  # a difference of 0 adds nothing
-                        h = gcd(h, next_level - lv)
-        periods.append(h)
+    if len(s.components) == 1:  # one BFS over every arc, no component test
+        periods.append(_strong_bfs(out_adj, level) if graph.n >= 2 else 0)
+    else:
+        for c, comp in enumerate(s.components):
+            h = 0
+            if len(comp) >= 2:  # some arc closes a cycle, so h >= 1
+                level[comp[0]] = 0
+                queue = [comp[0]]
+                for u in queue:  # appended to as it is walked: breadth first
+                    next_level = level[u] + 1
+                    for v in out_adj[u]:
+                        if label[v] != c:
+                            continue
+                        lv = level[v]
+                        if lv < 0:
+                            level[v] = next_level
+                            queue.append(v)
+                        elif lv != next_level:  # a difference of 0 adds nothing
+                            h = gcd(h, next_level - lv)
+            periods.append(h)
     layers: tuple[tuple[int, ...], ...] = ()
     if len(periods) == 1 and periods[0]:
         h = periods[0]
@@ -192,6 +233,24 @@ def _analyze(graph: Digraph) -> _Analysis:
             buckets[level[v] % h].append(v)
         layers = tuple(map(tuple, buckets))
     return _Analysis(graph, s, tuple(periods), layers)
+
+
+def _strong_bfs(out_adj: tuple[tuple[int, ...], ...], level: list[int]) -> int:
+    """The BFS of ``_analyze`` from vertex 0 of a strongly connected graph
+    with an arc, where every arc is inside the one component."""
+    h = 0
+    level[0] = 0
+    queue = [0]
+    for u in queue:
+        next_level = level[u] + 1
+        for v in out_adj[u]:
+            lv = level[v]
+            if lv < 0:
+                level[v] = next_level
+                queue.append(v)
+            elif lv != next_level:
+                h = gcd(h, next_level - lv)
+    return h
 
 
 def scc_period(graph: Digraph) -> int:

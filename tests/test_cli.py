@@ -18,11 +18,13 @@ from idomlib import (
     gen_paw,
     gen_wheel,
     parse_digraph,
+    random_dag,
     random_digraph,
+    solve_auto,
 )
 from idomlib.cli import EXIT_INTERNAL, main
 
-from helpers import record_built_graphs
+from helpers import antiparallel_chain, record_built_graphs
 
 
 @pytest.fixture
@@ -105,6 +107,34 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", write_graph(gen_cycle(6)))
         assert code == 0 and "layers=[1,1,1,1,1,1]" in out
         assert len(calls) == 1
+
+
+
+class TestTarjanRuns:
+    """A strongly connected graph is recognised without Tarjan; any other
+    graph runs it once per structure pass."""
+
+    @pytest.mark.parametrize(
+        "graph, runs",
+        [
+            (gen_cycle(6), 0),
+            (gen_cycle(7), 0),
+            (cartesian_product(gen_cycle(5), gen_cycle(5)), 0),
+            (gen_dhk(DhkSpec(3, 3)).graph, 0),
+            (random_dag(40, 0.1, 3), 1),
+            (antiparallel_chain(50), 1),
+        ],
+    )
+    def test_solve_auto_and_analyze(self, capsys, write_graph, monkeypatch, graph, runs):
+        calls = []
+        real = idomlib.structure._tarjan
+        monkeypatch.setattr(
+            idomlib.structure, "_tarjan", lambda g: calls.append(g) or real(g)
+        )
+        solve_auto(graph)
+        assert len(calls) == runs
+        code, _, _ = run(capsys, "analyze", write_graph(graph))
+        assert code == 0 and len(calls) == 2 * runs
 
 
 class TestSolve:

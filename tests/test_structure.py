@@ -13,6 +13,7 @@ from idomlib import (
     gen_dhk,
     gen_path,
     gen_paw,
+    gen_wheel,
     is_strongly_connected,
     layer_decomposition,
     period,
@@ -25,7 +26,7 @@ from idomlib import (
 
 from idomlib.structure import _analyze
 
-from helpers import disjoint_union, strongly_connected_samples
+from helpers import antiparallel_chain, disjoint_union, strongly_connected_samples
 
 
 def reachable_from(graph, start):
@@ -246,3 +247,73 @@ def test_structure_output_is_pinned(family, digest):
         analysis = _analyze(g)
         h.update(repr((s.component_of, s.components, analysis.periods, analysis.layers)).encode())
     assert h.hexdigest()[:16] == digest
+
+
+def _reversed_pair_chain(pairs):
+    # pair i - 1 feeds pair i, so vertex 0 reaches every vertex
+    arcs = []
+    for i in range(pairs):
+        arcs += [(2 * i, 2 * i + 1), (2 * i + 1, 2 * i)]
+        if i:
+            arcs.append((2 * i - 2, 2 * i))
+    return Digraph(2 * pairs, arcs)
+
+
+def _joined_cycles(a, b, forward):
+    # C_a on 0..a-1 and C_b on a..a+b-1, one arc between them
+    arcs = [(i, (i + 1) % a) for i in range(a)]
+    arcs += [(a + i, a + (i + 1) % b) for i in range(b)]
+    arcs.append((0, a) if forward else (a, 0))
+    return Digraph(a + b, arcs)
+
+
+def _agreement_corpus():
+    """Graphs on which the strong test and Tarjan must give one answer:
+    random digraphs, strongly connected families and products, and graphs
+    with no source and no sink that are not strongly connected."""
+    graphs = [Digraph(0), Digraph(1), Digraph(2), Digraph(2, [(0, 1)])]
+    graphs += [
+        random_digraph(2 + seed % 39, (0.03, 0.08, 0.15, 0.3, 0.5)[seed % 5], 9000 + seed)
+        for seed in range(300)
+    ]
+    graphs += [
+        random_layered_strong(h, size, 0.4, 100 * h + size)
+        for h in range(2, 7)
+        for size in range(1, 5)
+    ]
+    graphs += [cartesian_product(gen_cycle(a), gen_cycle(b)) for a in range(2, 8) for b in range(2, 8)]
+    graphs += [
+        gen_dhk(DhkSpec(h, k, variant, rules), strict=False).graph
+        for h in (3, 5)
+        for k in (2, 3)
+        for variant in ("ids_free", "with_ids")
+        for rules in ("text", "figure")
+    ]
+    graphs += [
+        cartesian_product(gen_wheel(3), gen_paw()),
+        cartesian_product(gen_paw(), gen_cycle(3)),
+        cartesian_product(gen_cycle(3), gen_path(3)),
+        cartesian_product(gen_path(3), gen_cycle(4)),
+        cartesian_product(gen_cycle(4), gen_cycle(2)),
+    ]
+    for pairs in (1, 2, 3, 7, 20):
+        graphs += [antiparallel_chain(pairs), _reversed_pair_chain(pairs)]
+    for a, b in ((2, 2), (3, 4), (5, 3)):
+        graphs += [_joined_cycles(a, b, True), _joined_cycles(a, b, False)]
+    return graphs
+
+
+def test_strong_test_agrees_with_tarjan():
+    # sccs, the periods and layers of the structure pass, the condensation
+    # and is_strongly_connected on the corpus, as the plain Tarjan gave them
+    # before sccs tested strong connectivity first
+    h = hashlib.sha256()
+    for g in _agreement_corpus():
+        s = sccs(g)
+        analysis = _analyze(g)
+        cond = condensation(g)
+        h.update(repr((
+            s, analysis.periods, analysis.layers, cond.dag.n, cond.dag.out_adj, cond.scc,
+            is_strongly_connected(g),
+        )).encode())
+    assert h.hexdigest()[:16] == "4b9f2300b4a26fd3"
