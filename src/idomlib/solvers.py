@@ -13,7 +13,7 @@ import time
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .digraph import Digraph, _Record, induced_subgraph, is_ids
-from .structure import LayerDecomposition, _analyze, _Analysis, _strong, sccs
+from .structure import LayerDecomposition, _analyze, _Analysis, is_strongly_connected, sccs
 
 __all__ = [
     "BudgetExceeded",
@@ -375,7 +375,7 @@ def propagate_layer_seed(
         raise ValueError(f"layer index {k} out of range for h={h}")
     if any(layer_of[v] != (layer_of[u] + 1) % h for u, vs in enumerate(graph.out_adj) for v in vs):
         raise ValueError("an arc does not go from layer i to layer i+1 mod h")
-    if not _strong(graph):
+    if not is_strongly_connected(graph):
         raise ValueError("graph is not strongly connected")
     if not seed_set <= layers.layers[k]:
         raise ValueError("seed is not a subset of layer k")

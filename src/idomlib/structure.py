@@ -48,7 +48,7 @@ def _reaches_all(adj: tuple[tuple[int, ...], ...]) -> bool:
     return len(order) == len(adj)
 
 
-def _strong(graph: Digraph) -> bool:
+def is_strongly_connected(graph: Digraph) -> bool:
     """Whether the graph is strongly connected: vertex 0 reaches every
     vertex and every vertex reaches vertex 0 (the forward-backward test of
     Fleischer, Hendrickson & Pinar 2000), O(n + m) and no DFS. A single
@@ -63,14 +63,14 @@ def _strong(graph: Digraph) -> bool:
 
 def sccs(graph: Digraph) -> SccDecomposition:
     """Strongly connected components. A strongly connected graph is
-    recognised by the two sweeps of ``_strong`` and comes back as one
-    component; any other graph goes through iterative Tarjan. O(n + m)
-    either way.
+    recognised by the two sweeps of ``is_strongly_connected`` and comes
+    back as one component; any other graph goes through iterative Tarjan.
+    O(n + m) either way.
 
     Tarjan visits vertices and neighbors in ascending order, so the output
     is deterministic; components come out in reverse topological order.
     """
-    if _strong(graph):
+    if is_strongly_connected(graph):
         return SccDecomposition((0,) * graph.n, (tuple(range(graph.n)),))
     return _tarjan(graph)
 
@@ -125,11 +125,6 @@ def _tarjan(graph: Digraph) -> SccDecomposition:
                     if low_v < low[parent]:
                         low[parent] = low_v
     return SccDecomposition(tuple(component_of), tuple(components))
-
-
-def is_strongly_connected(graph: Digraph) -> bool:
-    """By two sweeps from vertex 0, without computing the components."""
-    return _strong(graph)
 
 
 class Condensation(NamedTuple):
