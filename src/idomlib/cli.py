@@ -15,6 +15,7 @@ import sys
 
 from .digraph import (
     ParseError,
+    _ints,
     format_arc_list,
     is_ids,
     parse_digraph,
@@ -63,7 +64,7 @@ def _budget() -> int | None:
     if raw is None:
         return None
     try:
-        budget = int(raw)
+        [budget] = _ints(raw, [raw])
     except ValueError:
         raise ValueError(f"IDOM_BUDGET must be an integer, got {raw!r}") from None
     if budget < 0:
@@ -157,13 +158,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _parse_set(raw: str) -> frozenset[int]:
-    raw = raw.strip()
-    if not raw:
-        return frozenset()
     try:
-        return frozenset(int(part) for part in raw.split(","))
+        return frozenset(_ints(raw, raw.split(","))) if raw.strip() else frozenset()
     except ValueError:
-        raise ValueError(f"malformed vertex set {raw!r}") from None
+        raise ValueError(f"malformed vertex set {raw.strip()!r}") from None
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -225,18 +223,18 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_ORACLES = {
+    "exist": lambda g, cap, budget: brute_force_solve(g, cap, budget).found,
+    "i": lambda g, cap, budget: min_ids_size_brute(g, cap, budget),
+    "gamma": lambda g, cap, budget: min_dom_size_brute(g, cap, budget),
+    "idomatic": lambda g, cap, budget: idomatic_brute(g, cap, budget),
+}
+
+
 def cmd_brute(args: argparse.Namespace) -> int:
     graph = _load(args.file)
     what = args.what
-    budget = _budget()
-    if what == "exist":
-        value = brute_force_solve(graph, cap=args.cap, budget=budget).found
-    elif what == "i":
-        value = min_ids_size_brute(graph, cap=args.cap, budget=budget)
-    elif what == "gamma":
-        value = min_dom_size_brute(graph, cap=args.cap, budget=budget)
-    else:  # idomatic
-        value = idomatic_brute(graph, cap=args.cap, budget=budget)
+    value = _ORACLES[what](graph, args.cap, _budget())
     if args.json:
         _emit_json({"what": what, "value": value})
     else:
@@ -319,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("brute", help="exhaustive oracle values")
     p.add_argument("file")
-    p.add_argument("--what", choices=["exist", "i", "gamma", "idomatic"], required=True)
+    p.add_argument("--what", choices=list(_ORACLES), required=True)
     p.add_argument("--cap", type=int, default=20)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_brute)

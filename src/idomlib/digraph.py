@@ -4,7 +4,7 @@ and domination verifiers."""
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
     "Digraph",
@@ -202,12 +202,15 @@ def out_closed_removal(graph: Digraph, members: Iterable[int]) -> Subgraph:
     return induced_subgraph(graph, (v for v in range(graph.n) if v not in removed))
 
 
-def _two_ints(line: str, parts: list[str]) -> tuple[int, int]:
-    """The two tokens of a data line, each ASCII digits after an optional
-    ``-``; ``int`` alone would also take ``+``, ``_`` and non-ASCII digits."""
-    if not line.isascii() or "+" in line or "_" in line:
-        raise ValueError(f"not ASCII decimals: {line!r}")
-    return int(parts[0]), int(parts[1])
+def _ints(text: str, tokens: Iterable[str]) -> Iterator[int]:
+    """The ``tokens`` of ``text`` as integers, each ASCII digits after an
+    optional ``-``, with ASCII whitespace around them; ``int`` alone would
+    also take ``+``, ``_``, non-ASCII digits and non-ASCII whitespace. The
+    tokens are converted as they are read, so a token that is no number
+    raises ``ValueError`` there."""
+    if not text.isascii() or "+" in text or "_" in text:
+        raise ValueError(f"not ASCII decimals: {text!r}")
+    return map(int, tokens)
 
 
 class ParsedArcList(NamedTuple):
@@ -236,7 +239,7 @@ def parse_digraph(text: str) -> ParsedArcList:
     if len(parts) != 2:
         raise ParseError(f"line {header_line}: header must be 'n m'")
     try:
-        n, m = _two_ints(header, parts)
+        n, m = _ints(header, parts)
     except ValueError:
         raise ParseError(f"line {header_line}: header must be two integers") from None
     if n < 0 or m < 0:
@@ -250,7 +253,7 @@ def parse_digraph(text: str) -> ParsedArcList:
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: arc line must be 'u v'")
         try:
-            u, v = _two_ints(line, parts)
+            u, v = _ints(line, parts)
         except ValueError:
             raise ParseError(f"line {lineno}: arc endpoints must be integers") from None
         if u == v:

@@ -112,32 +112,19 @@ class DhkGraph(NamedTuple):
     period: int
 
 
-def _dhk_layer_kinds(h: int) -> list[str]:
-    # "L": k labeled vertices; "U": the 2^k - 2 nonempty proper subsets
-    kinds = ["L", "U", "U"]
-    for j in range(3, h):
-        kinds.append("L" if j % 2 == 1 else "U")
-    return kinds
-
-
-def _dhk_rules(spec: DhkSpec) -> list[str]:
-    # one membership rule per layer transition i -> i+1 mod h
+def _dhk_members(spec: DhkSpec) -> list[bool | None]:
+    """One rule per layer transition i -> i+1 mod h. True joins each label
+    to the subsets that contain it, False to those that do not, from the
+    label layer to the subset layer or back; None joins each subset to
+    itself."""
     h = spec.h
-    if h == 3:
-        rules = ["in", "eq", "setin"]
-        flip_at = 0
-    else:
-        rules = ["in", "eq", "setnotin"]
-        for j in range(3, h - 2):
-            rules.append("notin" if j % 2 == 1 else "setnotin")
-        rules.append("in")  # last label layer into the final subset layer
-        rules.append("setnotin")  # wrap back to layer 0
-        flip_at = h - 2
+    members = [True, None, True] if h == 3 else [True, None] + [False] * (h - 4) + [True, False]
     if spec.rules == "figure":
-        rules[0] = "notin" if rules[0] == "in" else "in"
+        members[0] = not members[0]
     if spec.variant == "with_ids":
-        rules[flip_at] = "notin" if rules[flip_at] == "in" else "in"
-    return rules
+        flip_at = 0 if h == 3 else h - 2
+        members[flip_at] = not members[flip_at]
+    return members
 
 
 def gen_dhk(spec: DhkSpec, strict: bool = True) -> DhkGraph:
@@ -157,44 +144,27 @@ def gen_dhk(spec: DhkSpec, strict: bool = True) -> DhkGraph:
     n = (h - 1) // 2 * k + (h + 1) // 2 * ((1 << min(k, 18)) - 2)
     if n > _MAX_VERTICES:
         raise ValueError(f"D_({h},{k}) has more than {_MAX_VERTICES} vertices")
-    kinds = _dhk_layer_kinds(h)
-    rules = _dhk_rules(spec)
-    subset_masks = list(range(1, (1 << k) - 1))  # nonempty proper subsets of [k]
+    # layer 0 and the odd layers from 3 on hold labels 1..k; the others hold
+    # the subset masks 1 .. 2^k - 2, ascending
+    is_label = [i == 0 or i > 2 and i % 2 == 1 for i in range(h)]
+    layers: list[range] = []
+    for label in is_label:
+        start = layers[-1].stop if layers else 0
+        layers.append(range(start, start + (k if label else (1 << k) - 2)))
 
-    layers: list[list[int]] = []
-    contents: list[list[int]] = []  # label number, or subset mask, per vertex
-    next_id = 0
-    for kind in kinds:
-        size = k if kind == "L" else len(subset_masks)
-        layers.append(list(range(next_id, next_id + size)))
-        contents.append(
-            list(range(1, k + 1)) if kind == "L" else list(subset_masks)
-        )
-        next_id += size
-
-    def connects(rule: str, a, b) -> bool:
-        if rule == "in":  # label a, subset mask b
-            return bool(b & (1 << (a - 1)))
-        if rule == "notin":
-            return not b & (1 << (a - 1))
-        if rule == "setin":  # subset mask a, label b
-            return bool(a & (1 << (b - 1)))
-        if rule == "setnotin":
-            return not a & (1 << (b - 1))
-        raise AssertionError(rule)
-
-    arcs = []
-    for i in range(h):
-        j = (i + 1) % h
-        rule = rules[i]
-        if rule == "eq":  # both subset layers list the masks in one order
-            arcs.extend(zip(layers[i], layers[j]))
+    arcs: list[tuple[int, int]] = []
+    for i, member in enumerate(_dhk_members(spec)):
+        source, target = layers[i], layers[(i + 1) % h]
+        if member is None:  # both subset layers list the masks in one order
+            arcs += zip(source, target)
             continue
-        for vi, ci in zip(layers[i], contents[i]):
-            for vj, cj in zip(layers[j], contents[j]):
-                if connects(rule, ci, cj):
-                    arcs.append((vi, vj))
-    graph = Digraph(next_id, arcs)
+        forward = is_label[i]
+        labels, subsets = (source, target) if forward else (target, source)
+        for p, a in enumerate(labels):
+            bit = 1 << p  # label p + 1
+            hits = [s for mask, s in enumerate(subsets, 1) if bool(mask & bit) == member]
+            arcs += [(a, s) for s in hits] if forward else [(s, a) for s in hits]
+    graph = Digraph(n, arcs)
 
     analysis = _analyze(graph)
     connected, realized = analysis.strong, analysis.period

@@ -136,24 +136,22 @@ def _check_ids(graph: Digraph, members: Iterable[int], what: str) -> None:
 
 
 def _take(
-    out_adj: Sequence[Sequence[int]],
-    counted: Sequence[Sequence[int]],
-    alive: bytearray,
-    indeg: list[int],
-    worklist: list[int],
-) -> list[int]:
-    """Take the worklist's vertices, deleting each with its out-neighbors,
-    and keep taking every vertex the deletions leave with a count of 0: the
-    source closure, as a queue of in-degree counters (Kahn 1962),
-    O(vertices deleted + their out-arcs).
+    out_adj: Sequence[Sequence[int]], counted: Sequence[Sequence[int]], indeg: list[int]
+) -> tuple[list[int], bytearray]:
+    """Take every vertex with a count of 0, deleting each with its
+    out-neighbors, and keep taking every vertex the deletions leave with a
+    count of 0: the source closure, as a queue of in-degree counters (Kahn
+    1962), O(n + vertices deleted + their out-arcs).
 
     Deletions follow ``out_adj``; ``indeg[v]`` counts the alive
     in-neighbors of ``v`` along ``counted``, a part of ``out_adj`` (all of
     it for the source closure). When every arc counts, a source can only
     dominate itself, so it is in every independent dominating set, and the
     result does not depend on the order in which sources are taken.
-    Returns the vertices taken.
+    Returns (the vertices taken, the alive flags).
     """
+    alive = bytearray(b"\x01") * len(indeg)
+    worklist = [v for v, d in enumerate(indeg) if not d]
     taken = []
     while worklist:
         s = worklist.pop()
@@ -167,15 +165,12 @@ def _take(
                     indeg[x] -= 1
                     if not indeg[x] and alive[x]:
                         worklist.append(x)
-    return taken
+    return taken, alive
 
 
 def _source_closure(graph: Digraph) -> tuple[list[int], bytearray]:
     """The source closure of the whole graph: (taken, alive)."""
-    alive = bytearray(b"\x01") * graph.n
-    indeg = [len(us) for us in graph.in_adj]
-    sources = [v for v in range(graph.n) if not indeg[v]]
-    return _take(graph.out_adj, graph.out_adj, alive, indeg, sources), alive
+    return _take(graph.out_adj, graph.out_adj, [len(us) for us in graph.in_adj])
 
 
 def _kernel(graph: Digraph) -> list[int] | None:
@@ -202,9 +197,7 @@ def _kernel(graph: Digraph) -> list[int] | None:
         counted.append(keep)
     # v has as many symmetric in-arcs as symmetric out-arcs
     indeg = [len(in_adj[v]) - len(out_adj[v]) + len(counted[v]) for v in range(graph.n)]
-    alive = bytearray(b"\x01") * graph.n
-    sources = [v for v in range(graph.n) if not indeg[v]]
-    taken = _take(out_adj, counted, alive, indeg, sources)
+    taken, alive = _take(out_adj, counted, indeg)
     return None if any(alive) else taken
 
 

@@ -139,6 +139,8 @@ class Condensation(NamedTuple):
 
 
 def _condense(graph: Digraph, s: SccDecomposition) -> Condensation:
+    if len(s.components) <= 1:  # no arc leaves a component: skip the out-lists
+        return Condensation(Digraph(len(s.components)), s)
     cid = s.component_of
     arcs = [(cid[u], cid[v]) for u, vs in enumerate(graph.out_adj) for v in vs if cid[u] != cid[v]]
     return Condensation(Digraph(len(s.components), arcs), s)

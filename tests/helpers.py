@@ -223,3 +223,34 @@ def odd_cycle_free_digraphs(draw, max_n: int = 11):
     ]
     arcs = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return Digraph(n, arcs)
+
+
+def milp_has_ids(graph: Digraph) -> bool:
+    """Whether the graph has an independent dominating set, decided by a 0-1
+    program over its arc set that scipy's HiGHS solves: binary x_v,
+    x_u + x_v <= 1 per arc u -> v, and x_v plus the x of v's in-neighbours
+    at least 1 per vertex. Imports scipy on call, so the caller decides
+    whether to skip without it."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_array
+
+    n, arcs = graph.n, sorted(graph.arcs)
+    if not n:
+        return True  # the empty set
+    rows = [r for r in range(len(arcs)) for _ in (0, 1)]
+    cols = [v for arc in arcs for v in arc]
+    rows += [len(arcs) + v for v in range(n)] + [len(arcs) + v for _, v in arcs]
+    cols += list(range(n)) + [u for u, _ in arcs]
+    a = coo_array((np.ones(len(rows)), (rows, cols)), shape=(len(arcs) + n, n))
+    lower = np.r_[np.zeros(len(arcs)), np.ones(n)]
+    upper = np.r_[np.ones(len(arcs)), np.full(n, np.inf)]
+    result = milp(
+        np.zeros(n),
+        integrality=np.ones(n),
+        bounds=Bounds(0, 1),
+        constraints=LinearConstraint(a, lower, upper),
+    )
+    if result.status not in (0, 2):  # 0: feasible, 2: infeasible
+        raise AssertionError(f"HiGHS gave no verdict: {result.message}")
+    return result.status == 0

@@ -296,6 +296,41 @@ class TestVerify:
         assert code == 2
 
 
+class TestIntegerTokens:
+    """`--set` and IDOM_BUDGET read integers by the arc-list rule: ASCII
+    digits after an optional `-`, with ASCII whitespace around them."""
+
+    # `int` alone reads each of these: as 10, 1, 2 (an Arabic-Indic digit)
+    # and 1 (before a no-break space)
+    BAD = ["1_0", "+1", "\u0662", "1\u00a0"]
+
+    @pytest.mark.parametrize("token", BAD)
+    def test_set_rejects(self, capsys, write_graph, token):
+        path = write_graph(gen_cycle(12))
+        members = f"{token},0"
+        code, out, err = run(capsys, "verify", path, "--set", members)
+        assert code == 2 and out == ""
+        assert err == f"error: malformed vertex set {members!r}\n"
+
+    @pytest.mark.parametrize("token", BAD)
+    @pytest.mark.parametrize("command", [["solve"], ["brute", "--what", "exist"]])
+    def test_budget_rejects(self, capsys, write_graph, monkeypatch, token, command):
+        monkeypatch.setenv("IDOM_BUDGET", token)
+        code, out, err = run(capsys, command[0], write_graph(gen_cycle(12)), *command[1:])
+        assert code == 2 and out == ""
+        assert err == f"error: IDOM_BUDGET must be an integer, got {token!r}\n"
+
+    def test_whitespace_and_minus_still_read(self, capsys, write_graph, monkeypatch):
+        path = write_graph(gen_cycle(4))
+        code, out, _ = run(capsys, "verify", path, "--set", " 0 , 2 ")
+        assert code == 0 and "ids=true" in out
+        code, out, _ = run(capsys, "verify", path, "--set", "0,-2")
+        assert code == 2 and out == ""
+        monkeypatch.setenv("IDOM_BUDGET", " 0\t")
+        code, out, _ = run(capsys, "solve", path)
+        assert code == 0 and "status=found" in out
+
+
 class TestGen:
     def test_cycle_bytes(self, capsys):
         code, out, _ = run(capsys, "gen", "cycle", "3")

@@ -24,9 +24,19 @@ from idomlib import (
     sccs,
 )
 
-from idomlib.structure import _analyze
+from idomlib.structure import _analyze, _condense
 
 from helpers import antiparallel_chain, disjoint_union, strongly_connected_samples
+
+
+class UnreadableLists:
+    """Adjacency lists that fail on any read."""
+
+    def __getitem__(self, index):
+        raise AssertionError("an adjacency list was read")
+
+    def __iter__(self):
+        raise AssertionError("the adjacency lists were scanned")
 
 
 def reachable_from(graph, start):
@@ -87,6 +97,16 @@ class TestCondensation:
     def test_strongly_connected_collapses(self):
         cond = condensation(gen_cycle(5))
         assert cond.dag.n == 1 and cond.dag.m == 0
+
+    @pytest.mark.parametrize(
+        "graph", [gen_cycle(5), Digraph(1), Digraph(0)], ids=["cycle", "vertex", "empty"]
+    )
+    def test_one_component_reads_no_out_list(self, graph):
+        # no arc leaves a lone component, so its condensation needs no arc
+        scc = sccs(graph)
+        graph.out_adj = UnreadableLists()
+        cond = _condense(graph, scc)
+        assert (cond.dag.n, cond.dag.m) == (len(scc.components), 0) and cond.scc is scc
 
     def test_disjoint_cycles(self):
         cond = condensation(disjoint_union(gen_cycle(3), gen_cycle(4)))
