@@ -108,9 +108,9 @@ class Digraph:
 
 def _check_members(graph: Digraph, members: Iterable[int]) -> frozenset[int]:
     s = frozenset(members)
-    for v in s:
-        if not (0 <= v < graph.n):
-            raise ValueError(f"vertex {v} out of range for n={graph.n}")
+    if s and (min(s) < 0 or max(s) >= graph.n):
+        v = next(v for v in s if not 0 <= v < graph.n)  # the first in set order
+        raise ValueError(f"vertex {v} out of range for n={graph.n}")
     return s
 
 

@@ -158,7 +158,10 @@ def _take(
         if not alive[s]:  # deleted as an out-neighbor after it was queued
             continue
         taken.append(s)
-        for t in (s, *out_adj[s]):
+        alive[s] = 0
+        for x in counted[s]:  # out-neighbors of s, all deleted below: none is queued
+            indeg[x] -= 1
+        for t in out_adj[s]:
             if alive[t]:
                 alive[t] = 0
                 for x in counted[t]:
@@ -170,7 +173,7 @@ def _take(
 
 def _source_closure(graph: Digraph) -> tuple[list[int], bytearray]:
     """The source closure of the whole graph: (taken, alive)."""
-    return _take(graph.out_adj, graph.out_adj, [len(us) for us in graph.in_adj])
+    return _take(graph.out_adj, graph.out_adj, list(map(len, graph.in_adj)))
 
 
 def _kernel(graph: Digraph) -> list[int] | None:
@@ -230,12 +233,16 @@ def solve_dag(graph: Digraph) -> SolveOutcome:
 
 
 def _even_odd(analysis: _Analysis) -> tuple[frozenset[int], frozenset[int]]:
-    """Even-layer and odd-layer unions of an even-period strongly connected graph."""
+    """Even-layer and odd-layer unions of an even-period strongly connected
+    graph: with h even, layer ``level mod h`` is even exactly when the
+    level is, so the unions come from level parity, without the layers."""
     h = analysis.strong_period()
     if h % 2 == 1:
         raise ValueError(f"period {h} is odd")
-    layers = analysis.layers
-    return frozenset().union(*layers[0::2]), frozenset().union(*layers[1::2])
+    sides: tuple[list[int], list[int]] = ([], [])
+    for v, lv in enumerate(analysis.level):
+        sides[lv & 1].append(v)
+    return frozenset(sides[0]), frozenset(sides[1])
 
 
 def _solve_even_period(graph: Digraph, analysis: _Analysis, search: _Search) -> SolveOutcome:
@@ -564,10 +571,10 @@ def _exact(
                 return None
             frame = stack[-1]
             best, mark, cursor, left = frame
-            undo(mark)
-            if not left:
+            if not left:  # exhausted: the frame below undoes past mark, none returns
                 stack.pop()
                 continue
+            undo(mark)
             frame[3] = left - 1
             stats.seeds_explored += 1
             ok = propagate([best if left == 2 else ~best])

@@ -151,21 +151,26 @@ def condensation(graph: Digraph) -> Condensation:
 
 
 class _Analysis:
-    """One structure pass over a graph: its SCCs, the period of every
-    component (0 for a single vertex), and, when the graph is strongly
-    connected with at least 2 vertices, its layers (else none)."""
+    """One structure pass over a graph: the period of every component (0
+    for a single vertex) and the BFS level of every vertex (-1 outside a
+    nontrivial component). SCCs, layers and condensation are built on read."""
 
     def __init__(
         self,
         graph: Digraph,
-        scc: SccDecomposition,
         periods: tuple[int, ...],
-        layers: tuple[tuple[int, ...], ...],
+        level: list[int],
+        scc: SccDecomposition | None = None,
     ) -> None:
         self.graph = graph
-        self.scc = scc
         self.periods = periods
-        self.layers = layers
+        self.level = level
+        if scc is not None:  # shadows the cached property
+            self.scc = scc
+
+    @cached_property
+    def scc(self) -> SccDecomposition:
+        return sccs(self.graph)
 
     @property
     def period(self) -> int:
@@ -175,6 +180,18 @@ class _Analysis:
     @property
     def strong(self) -> bool:
         return len(self.scc.components) == 1
+
+    @cached_property
+    def layers(self) -> tuple[tuple[int, ...], ...]:
+        """Of a strongly connected graph with an arc (else none): layer ``i``
+        holds the vertices whose level is ``i`` mod the period, ascending."""
+        if len(self.periods) != 1 or not self.periods[0]:
+            return ()
+        h = self.periods[0]
+        buckets: list[list[int]] = [[] for _ in range(h)]
+        for v, lv in enumerate(self.level):
+            buckets[lv % h].append(v)
+        return tuple(map(tuple, buckets))
 
     @cached_property
     def condensation(self) -> Condensation:
@@ -191,16 +208,33 @@ class _Analysis:
         return self.periods[0]
 
 
+def _acyclic(out_adj: tuple[tuple[int, ...], ...], in_adj: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether peeling vertices of in-degree 0, with in-degree counters,
+    removes every vertex (Kahn 1962): O(n + m)."""
+    indeg = list(map(len, in_adj))
+    order = [v for v, d in enumerate(indeg) if not d]
+    peel = order.append
+    for u in order:  # appended to as it is walked
+        for v in out_adj[u]:
+            indeg[v] -= 1
+            if not indeg[v]:
+                peel(v)
+    return len(order) == len(indeg)
+
+
 def _analyze(graph: Digraph) -> _Analysis:
-    """SCCs from one ``sccs`` call, then one BFS per nontrivial component,
-    from its lowest vertex; O(n + m) in all. A component's period is the gcd
-    over its arcs (u, v) of level(u)+1-level(v), and layer ``i`` of a
-    strongly connected graph holds the vertices whose level is ``i`` mod
-    the period, ascending."""
-    out_adj = graph.out_adj
+    """Periods and BFS levels, O(n + m). A graph with a source and a sink,
+    as every nonempty acyclic graph has, is peeled first; if that removes
+    every vertex, it is acyclic and no SCCs are computed. Otherwise one
+    ``sccs`` call, then one BFS per nontrivial component from its lowest
+    vertex: a component's period is the gcd over its arcs (u, v) of
+    level(u)+1-level(v)."""
+    out_adj, in_adj = graph.out_adj, graph.in_adj
+    level = [-1] * graph.n
+    if not all(in_adj) and not all(out_adj) and _acyclic(out_adj, in_adj):
+        return _Analysis(graph, (0,) * graph.n, level)
     s = sccs(graph)
     label = s.component_of
-    level = [-1] * graph.n
     periods = []
     if len(s.components) == 1:  # one BFS over every arc, no component test
         periods.append(_strong_bfs(out_adj, level) if graph.n >= 2 else 0)
@@ -222,14 +256,7 @@ def _analyze(graph: Digraph) -> _Analysis:
                         elif lv != next_level:  # a difference of 0 adds nothing
                             h = gcd(h, next_level - lv)
             periods.append(h)
-    layers: tuple[tuple[int, ...], ...] = ()
-    if len(periods) == 1 and periods[0]:
-        h = periods[0]
-        buckets: list[list[int]] = [[] for _ in range(h)]
-        for v in range(graph.n):
-            buckets[level[v] % h].append(v)
-        layers = tuple(map(tuple, buckets))
-    return _Analysis(graph, s, tuple(periods), layers)
+    return _Analysis(graph, tuple(periods), level, s)
 
 
 def _strong_bfs(out_adj: tuple[tuple[int, ...], ...], level: list[int]) -> int:
