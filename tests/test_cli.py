@@ -109,6 +109,20 @@ class TestAnalyze:
         assert code == 0 and "layers=[1,1,1,1,1,1]" in out
         assert len(calls) == 1
 
+    def test_dag_reads_its_sccs_once(self, capsys, write_graph, monkeypatch):
+        # a solve of a DAG computes no SCCs; analyze prints them
+        calls = []
+        real = idomlib.structure.sccs
+        monkeypatch.setattr(
+            idomlib.structure, "sccs", lambda g: calls.append(g) or real(g)
+        )
+        code, out, _ = run(capsys, "analyze", write_graph(random_dag(40, 0.1, 3)))
+        assert code == 0 and len(calls) == 1
+        assert out == "period=0\nsccs=40\nsource_sccs=[10,21,29,30,33,34,35,36,37,38,39]\n"
+
+    def test_odd_cycle_layers(self, capsys, write_graph):
+        code, out, _ = run(capsys, "analyze", write_graph(gen_cycle(5)))
+        assert code == 0 and out == "period=5\nsccs=1\nsource_sccs=[0]\nlayers=[1,1,1,1,1]\n"
 
 
 class TestTarjanRuns:

@@ -156,6 +156,27 @@ class TestTwoDisjointIds:
         assert not first & second
         assert is_ids(g, first).ids and is_ids(g, second).ids
 
+    @pytest.mark.parametrize(
+        "graph",
+        [gen_cycle(n) for n in (2, 4, 10, 50)]
+        + [
+            cartesian_product(gen_cycle(a), gen_cycle(b))
+            for a, b in ((2, 2), (2, 6), (4, 4), (4, 6), (8, 12))
+        ]
+        + [
+            random_layered_strong(h, size, 0.4, seed)
+            for h in (2, 4, 6)
+            for size, seed in ((1, 1), (3, 2), (5, 3))
+        ],
+    )
+    def test_even_and_odd_layer_unions(self, graph):
+        # the sets come from level parity; the layers are the reference
+        layers = layer_decomposition(graph).layers
+        assert len(layers) % 2 == 0
+        assert two_disjoint_ids(graph) == (
+            frozenset().union(*layers[0::2]), frozenset().union(*layers[1::2]),
+        )
+
 
 class TestSolveBipartite:
     def test_single_arc(self):
@@ -356,18 +377,24 @@ class TestBudget:
             assert solve(graph).stats.budget_used == exact_used
 
     @pytest.mark.parametrize(
-        "graph",
+        "graph, seeds, used, depth",
         [
-            gen_cycle(5),
-            cartesian_product(gen_cycle(7), gen_cycle(7)),
-            gen_dhk(DhkSpec(5, 6)).graph,
+            (gen_cycle(5), 2, 10, 1),
+            (cartesian_product(gen_cycle(7), gen_cycle(7)), 3, 49, 4),
+            (gen_dhk(DhkSpec(5, 6)).graph, 6, 364, 3),
+            # the longest trails left when the search ends with no set
+            (gen_cycle(1001), 2, 2002, 1),
+            (gen_dhk(DhkSpec(7, 7, "ids_free")).graph, 6, 1050, 3),
         ],
-        ids=["C5", "C7xC7", "D5,6"],
+        ids=["C5", "C7xC7", "D5,6", "C1001", "D7,7"],
     )
-    def test_exact_budget_boundary(self, graph):
+    def test_exact_budget_boundary(self, graph, seeds, used, depth):
         for solve in (solve_exact, solve_auto):
             outcome = solve(graph)
-            used = outcome.stats.budget_used
+            stats = outcome.stats
+            assert (stats.seeds_explored, stats.budget_used, stats.recursion_depth) == (
+                seeds, used, depth,
+            )
             again = solve(graph, budget=used)
             assert (again.status, again.set, again.stats.budget_used) == (
                 outcome.status, outcome.set, used,
@@ -723,6 +750,41 @@ class TestOneStructurePass:
         )
         assert solve_auto(graph).found
         assert len(calls) == calls_expected
+
+    @pytest.mark.parametrize(
+        "graph",
+        [gen_path(50), random_dag(40, 0.1, seed=3), Digraph(1)],
+        ids=["path", "dag", "single"],
+    )
+    def test_acyclic_solves_compute_no_sccs(self, graph, monkeypatch):
+        calls = []
+        for name in ("sccs", "_tarjan"):
+            real = getattr(idomlib.structure, name)
+            monkeypatch.setattr(
+                idomlib.structure, name, lambda g, real=real: calls.append(g) or real(g)
+            )
+        for solve in (solve_auto, solve_dag):
+            assert solve(graph).method == "dag-greedy"
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            random_dag(40, 0.1, seed=3),
+            gen_cycle(7),
+            cartesian_product(gen_cycle(5), gen_cycle(5)),
+            gen_dhk(DhkSpec(5, 4)).graph,
+            antiparallel_chain(50),
+            cartesian_product(gen_cycle(4), gen_cycle(6)),
+        ],
+        ids=["dag", "odd-cycle", "odd-torus", "D5,4", "chain", "even-torus"],
+    )
+    def test_solve_auto_reads_no_layers(self, graph, monkeypatch):
+        def unread(analysis):
+            raise AssertionError("solve_auto read the layers")
+
+        monkeypatch.setattr(idomlib.structure._Analysis, "layers", property(unread))
+        assert solve_auto(graph).method in {"dag-greedy", "even-period", "symmetric-arc", "exact"}
 
 
 class TestElapsed:

@@ -24,7 +24,7 @@ from idomlib import (
     sccs,
 )
 
-from idomlib.structure import _analyze, _condense
+from idomlib.structure import _acyclic, _analyze, _condense, _tarjan
 
 from helpers import antiparallel_chain, disjoint_union, strongly_connected_samples
 
@@ -337,3 +337,43 @@ def test_strong_test_agrees_with_tarjan():
             is_strongly_connected(g),
         )).encode())
     assert h.hexdigest()[:16] == "4b9f2300b4a26fd3"
+
+
+def _path_into_cycle(path_len, cycle_len, tail):
+    # a path of path_len arcs into a cycle on cycle_len vertices, whose last
+    # vertex feeds a path of ``tail`` more: with a tail, the graph has a
+    # source and a sink but is not acyclic
+    n = path_len + cycle_len + tail
+    arcs = [(i, i + 1) for i in range(path_len)]
+    c = path_len
+    arcs += [(c + i, c + (i + 1) % cycle_len) for i in range(cycle_len)]
+    arcs += [(i, i + 1) for i in range(c + cycle_len - 1, n - 1)]
+    return Digraph(n, arcs)
+
+
+def _peel_corpus():
+    graphs = [Digraph(0), Digraph(1), Digraph(3), gen_path(4)]
+    graphs += [
+        _path_into_cycle(path_len, cycle_len, tail)
+        for path_len in (1, 2, 7)  # 1: a source that feeds the cycle
+        for cycle_len in (2, 3)
+        for tail in (0, 1, 3)
+    ]
+    graphs += [random_dag(1 + seed % 30, (0.05, 0.15, 0.4)[seed % 3], seed) for seed in range(1500)]
+    graphs += [
+        random_digraph(1 + seed % 30, (0.02, 0.05, 0.1)[seed % 3], 3000 + seed)
+        for seed in range(1500)
+    ]
+    return graphs
+
+
+def test_peel_recognises_exactly_the_acyclic_graphs():
+    # a graph is acyclic (period 0) exactly when Tarjan finds only
+    # one-vertex components, as there are no self-loops
+    verdicts = [
+        (_acyclic(g.out_adj, g.in_adj), all(len(c) == 1 for c in _tarjan(g).components))
+        for g in _peel_corpus()
+    ]
+    assert len(verdicts) >= 3000
+    assert all(peel == tarjan for peel, tarjan in verdicts)
+    assert sum(peel for peel, _ in verdicts) == 2403  # both verdicts are common
