@@ -226,15 +226,14 @@ def parse_digraph(text: str) -> ParsedArcList:
     (0-indexed, ASCII decimals). Duplicate arcs collapse and are counted;
     self-loops, out-of-range ids, and malformed lines are errors.
     """
-    data: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        data.append((lineno, stripped))
-    if not data:
+    data = (
+        (lineno, stripped)
+        for lineno, raw in enumerate(text.splitlines(), 1)
+        if (stripped := raw.strip()) and not stripped.startswith("#")
+    )
+    header_line, header = next(data, (0, ""))
+    if not header:
         raise ParseError("missing 'n m' header line")
-    header_line, header = data[0]
     parts = header.split()
     if len(parts) != 2:
         raise ParseError(f"line {header_line}: header must be 'n m'")
@@ -244,25 +243,38 @@ def parse_digraph(text: str) -> ParsedArcList:
         raise ParseError(f"line {header_line}: header must be two integers") from None
     if n < 0 or m < 0:
         raise ParseError(f"line {header_line}: counts must be non-negative")
-    body = data[1:]
-    if len(body) != m:
-        raise ParseError(f"expected {m} arc lines, found {len(body)}")
-    arcs: list[tuple[int, int]] = []
-    for lineno, line in body:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: arc line must be 'u v'")
-        try:
-            u, v = _ints(line, parts)
-        except ValueError:
-            raise ParseError(f"line {lineno}: arc endpoints must be integers") from None
-        if u == v:
-            raise ParseError(f"line {lineno}: self-loop {u} {v}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"line {lineno}: arc ({u}, {v}) out of range for n={n}")
-        arcs.append((u, v))
-    graph = Digraph(n, arcs)
-    return ParsedArcList(graph, len(arcs) - graph.m)
+    count, lineno, line = 0, 0, ""
+
+    def arcs() -> Iterator[tuple[int, int]]:
+        nonlocal count, lineno, line
+        for count, (lineno, line) in enumerate(data, 1):
+            parts = line.split()
+            if len(parts) != 2:
+                raise ParseError(f"line {lineno}: arc line must be 'u v'")
+            try:
+                u, v = _ints(line, parts)
+            except ValueError:
+                raise ParseError(f"line {lineno}: arc endpoints must be integers") from None
+            yield u, v
+
+    # The constructor makes the only range and self-loop test. Its refusal,
+    # like a malformed line, is reported once the wrong-count error, which
+    # takes priority, has been ruled out.
+    error = None
+    try:
+        graph = Digraph(n, arcs())
+    except ParseError as exc:
+        error = exc
+    except ValueError:  # refused the arc of the line last read
+        u, v = _ints(line, line.split())
+        why = f"self-loop {u} {v}" if u == v else f"arc ({u}, {v}) out of range for n={n}"
+        error = ParseError(f"line {lineno}: {why}")
+    found = count + sum(1 for _ in data)
+    if found != m:
+        raise ParseError(f"expected {m} arc lines, found {found}")
+    if error is not None:
+        raise error
+    return ParsedArcList(graph, count - graph.m)
 
 
 def format_arc_list(graph: Digraph) -> str:

@@ -145,9 +145,10 @@ def _take(
 
     Deletions follow ``out_adj``; ``indeg[v]`` counts the alive
     in-neighbors of ``v`` along ``counted``, a part of ``out_adj`` (all of
-    it for the source closure). When every arc counts, a source can only
-    dominate itself, so it is in every independent dominating set, and the
-    result does not depend on the order in which sources are taken.
+    it for the source closure); a deleted vertex's count is never read
+    again. When every arc counts, a source can only dominate itself, so it
+    is in every independent dominating set, and the result does not depend
+    on the order in which sources are taken.
     Returns (the vertices taken, the alive flags).
     """
     alive = bytearray(b"\x01") * len(indeg)
@@ -159,8 +160,6 @@ def _take(
             continue
         taken.append(s)
         alive[s] = 0
-        for x in counted[s]:  # out-neighbors of s, all deleted below: none is queued
-            indeg[x] -= 1
         for t in out_adj[s]:
             if alive[t]:
                 alive[t] = 0

@@ -12,7 +12,15 @@ from itertools import combinations
 
 import hypothesis.strategies as st
 
-from idomlib import Digraph, UndirectedGraph, induced_subgraph, random_digraph, sccs
+from idomlib import (
+    Digraph,
+    ParseError,
+    ParsedArcList,
+    UndirectedGraph,
+    induced_subgraph,
+    random_digraph,
+    sccs,
+)
 
 
 def independent_double_loop(graph: Digraph, members) -> bool:
@@ -254,3 +262,96 @@ def milp_has_ids(graph: Digraph) -> bool:
     if result.status not in (0, 2):  # 0: feasible, 2: infeasible
         raise AssertionError(f"HiGHS gave no verdict: {result.message}")
     return result.status == 0
+
+
+def parse_by_lines(text: str) -> ParsedArcList:
+    """``parse_digraph`` as a list of the data lines, then a list of checked
+    arcs, then the graph: each line is tested for shape, ASCII decimals,
+    self-loop and range, in that order, only after the arc count has been
+    checked. The reference for the streaming parser."""
+
+    def decimals(line: str, tokens: list[str]):
+        if not line.isascii() or "+" in line or "_" in line:
+            raise ValueError(line)
+        return map(int, tokens)
+
+    data: list[tuple[int, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        data.append((lineno, stripped))
+    if not data:
+        raise ParseError("missing 'n m' header line")
+    header_line, header = data[0]
+    parts = header.split()
+    if len(parts) != 2:
+        raise ParseError(f"line {header_line}: header must be 'n m'")
+    try:
+        n, m = decimals(header, parts)
+    except ValueError:
+        raise ParseError(f"line {header_line}: header must be two integers") from None
+    if n < 0 or m < 0:
+        raise ParseError(f"line {header_line}: counts must be non-negative")
+    body = data[1:]
+    if len(body) != m:
+        raise ParseError(f"expected {m} arc lines, found {len(body)}")
+    arcs: list[tuple[int, int]] = []
+    for lineno, line in body:
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"line {lineno}: arc line must be 'u v'")
+        try:
+            u, v = decimals(line, parts)
+        except ValueError:
+            raise ParseError(f"line {lineno}: arc endpoints must be integers") from None
+        if u == v:
+            raise ParseError(f"line {lineno}: self-loop {u} {v}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(f"line {lineno}: arc ({u}, {v}) out of range for n={n}")
+        arcs.append((u, v))
+    graph = Digraph(n, arcs)
+    return ParsedArcList(graph, len(arcs) - graph.m)
+
+
+# Every line boundary that ``str.splitlines`` knows.
+LINE_SEPARATORS = (
+    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
+)
+
+
+@st.composite
+def messy_arc_documents(draw) -> str:
+    """Arc-list documents with comments, blank lines, bad tokens and shapes,
+    self-loops, out-of-range ids, duplicates, and a declared arc count that
+    is usually right, joined by any mix of line separators."""
+    n = draw(st.integers(0, 6))
+    ids = st.integers(-2, n + 2)
+    in_range = st.integers(0, max(n - 1, 0))  # repeats give duplicates and self-loops
+    token = st.one_of(
+        ids.map(str), st.sampled_from(["a", "1_0", "+1", "\u0662", "0x1", "1.0", "-"])
+    )
+    arc_line = st.tuples(in_range, in_range).map("{0[0]} {0[1]}".format)
+    bad_line = st.one_of(
+        st.tuples(ids, ids).map("{0[0]} {0[1]}".format),
+        st.tuples(token, token).map(" ".join),
+        st.lists(token, max_size=3).map(" ".join),
+    )
+    filler = st.sampled_from(["", "  ", "\t", "# comment", "  # indented", "#", "\x1f"])
+    clean = draw(st.booleans())
+    body_line = st.one_of(arc_line, filler) if clean else st.one_of(arc_line, filler, bad_line)
+    body = draw(st.lists(body_line, max_size=12))
+    found = sum(1 for line in body if line.strip() and not line.strip().startswith("#"))
+    header = draw(
+        st.one_of(
+            st.just(f"{n} {found}"),
+            st.just(f"{n} {found}"),
+            st.sampled_from([found - 1, found + 1]).map(lambda m: f"{n} {m}"),
+            st.sampled_from(["", "3", "a b", "1 2 3", "-1 0", "+2 0", "1_0 0", "2 \u0662"]),
+        )
+    )
+    lines = draw(st.lists(filler, max_size=2)) + [header] + body
+    gap = st.sampled_from(LINE_SEPARATORS)
+    gaps = draw(st.lists(gap, min_size=len(lines) - 1, max_size=len(lines) - 1))
+    end = draw(st.sampled_from(("", *LINE_SEPARATORS)))
+    return "".join(line + gap for line, gap in zip(lines, [*gaps, end]))

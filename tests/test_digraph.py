@@ -1,12 +1,14 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from idomlib import (
     Digraph,
     ParseError,
+    cartesian_product,
     format_arc_list,
     gen_cycle,
     gen_paw,
@@ -26,8 +28,19 @@ from helpers import (
     dominating_double_loop,
     ids_report_by_arc_scan,
     independent_double_loop,
+    messy_arc_documents,
+    parse_by_lines,
     without_arc_scans,
 )
+
+
+def parse_outcome(parse, text):
+    """(graph, duplicates) of a parse, or ("error", message) of its ParseError."""
+    try:
+        graph, duplicates = parse(text)
+    except ParseError as exc:
+        return "error", str(exc)
+    return graph, duplicates
 
 
 class TestDigraph:
@@ -99,6 +112,53 @@ class TestParse:
     def test_comments_and_blanks_tolerated(self):
         parsed = parse_digraph("# a triangle\n\n3 3\n0 1\n# inner\n1 2\n2 0\n")
         assert parsed.graph == gen_cycle(3)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a self-loop that is also out of range: the self-loop is named
+            ("5 1\n7 7\n", "line 2: self-loop 7 7"),
+            ("2 1\n-1 -1\n", "line 2: self-loop -1 -1"),
+            # a wrong arc count beats every arc-line error, before or after it
+            ("3 2\n0 x\n", "expected 2 arc lines, found 1"),
+            ("3 1\n0 x\n1 2\n", "expected 1 arc lines, found 2"),
+            ("3 2\n0 5\n0 0\n1 2\n", "expected 2 arc lines, found 3"),
+            ("3 3\n0 1 2\n", "expected 3 arc lines, found 1"),
+            # the first failing line beats a later one
+            ("3 2\n0 5\n1 1\n", "line 2: arc (0, 5) out of range for n=3"),
+            ("3 2\n0 a\n0 5\n", "line 2: arc endpoints must be integers"),
+            ("3 2\n0 5\nx\n", "line 2: arc (0, 5) out of range for n=3"),
+            ("3 2\n1 1\n0 9\n", "line 2: self-loop 1 1"),
+            # line numbers count comments, blank lines and every separator
+            ("# c\n\n3 2\n\n0 1\n# x\n1 1\n", "line 7: self-loop 1 1"),
+            ("# c\n\n3\n", "line 3: header must be 'n m'"),
+            ("3 1\r\n\r\n0 3", "line 3: arc (0, 3) out of range for n=3"),
+            ("\x0c# c\x1c3 1\u20280 1 1\n", "line 4: arc line must be 'u v'"),
+            ("# only\n\n", "missing 'n m' header line"),
+        ],
+    )
+    def test_exact_messages(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_digraph(text)
+        assert str(info.value) == message
+
+    @settings(max_examples=400, deadline=None)
+    @given(messy_arc_documents())
+    def test_agrees_with_line_by_line_parser(self, text):
+        assert parse_outcome(parse_digraph, text) == parse_outcome(parse_by_lines, text)
+
+    def test_parse_memory_is_one_adjacency_copy(self):
+        # C_100 x C_100: 20,000 arc lines. Lists of the data lines and of
+        # the arcs, kept beside the graph's own lists, peak at about 8.4 MiB.
+        text = format_arc_list(cartesian_product(gen_cycle(100), gen_cycle(100)))
+        tracemalloc.start()
+        try:
+            parsed = parse_digraph(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed.graph.m == 20_000
+        assert peak < 5 * 2**20
 
     def test_emit_then_parse_is_fixed_point(self):
         parsed = parse_digraph("# messy\n3 4\n2 0\n0 1\n1 2\n0 1\n")
