@@ -202,7 +202,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         graph = gen_paw()
     elif family == "dhk":
         variant = "ids_free" if args.variant == "free" else "with_ids"
-        graph = gen_dhk(DhkSpec(args.h, args.k, variant, args.rules)).graph
+        graph = gen_dhk(DhkSpec(args.h, args.k, variant)).graph
     elif family == "product":
         graph = cartesian_product(_load(args.a), _load(args.b))
     elif family == "double":
@@ -289,7 +289,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("h", type=int)
     q.add_argument("k", type=int)
     q.add_argument("--variant", choices=["free", "ids"], default="free")
-    q.add_argument("--rules", choices=["text", "figure"], default="text")
     q = fam.add_parser("product")
     q.add_argument("a")
     q.add_argument("b")

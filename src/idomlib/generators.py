@@ -71,24 +71,16 @@ def gen_paw() -> Digraph:
 class DhkSpec(_Record):
     """Parameters of the layered subset family: h odd >= 3, k >= 2; immutable."""
 
-    __slots__ = ("h", "k", "variant", "rules")
+    __slots__ = ("h", "k", "variant")
 
-    def __init__(
-        self,
-        h: int,
-        k: int,
-        variant: str = "ids_free",  # "ids_free" | "with_ids"
-        rules: str = "text",  # "text" | "figure"
-    ) -> None:
+    def __init__(self, h: int, k: int, variant: str = "ids_free") -> None:
         if h < 3 or h % 2 == 0:
             raise ValueError("h must be odd and at least 3")
         if k < 2:
             raise ValueError("k must be at least 2")
         if variant not in ("ids_free", "with_ids"):
             raise ValueError(f"unknown variant {variant!r}")
-        if rules not in ("text", "figure"):
-            raise ValueError(f"unknown rules {rules!r}")
-        for name, value in zip(self.__slots__, (h, k, variant, rules)):
+        for name, value in zip(self.__slots__, (h, k, variant)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -119,8 +111,6 @@ def _dhk_members(spec: DhkSpec) -> list[bool | None]:
     itself."""
     h = spec.h
     members = [True, None, True] if h == 3 else [True, None] + [False] * (h - 4) + [True, False]
-    if spec.rules == "figure":
-        members[0] = not members[0]
     if spec.variant == "with_ids":
         flip_at = 0 if h == 3 else h - 2
         members[flip_at] = not members[flip_at]
@@ -173,7 +163,7 @@ def gen_dhk(spec: DhkSpec, strict: bool = True) -> DhkGraph:
     )
     if strict and not (connected and realized == h):
         raise GenerationError(
-            f"D_({h},{k}) [{spec.variant}, {spec.rules} rules] degenerated: "
+            f"D_({h},{k}) [{spec.variant}] degenerated: "
             f"strongly_connected={connected}, period={realized}; "
             "pass strict=False to accept the instance as constructed"
         )

@@ -10,7 +10,7 @@ search-based solvers share a global step budget; exhausting it raises
 from __future__ import annotations
 
 import time
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .digraph import Digraph, _Record, induced_subgraph, is_ids
 from .structure import LayerDecomposition, _analyze, _Analysis, is_strongly_connected, sccs
@@ -675,40 +675,41 @@ def enumerate_ids_brute(graph: Digraph, cap: int = 20) -> list[frozenset[int]]:
 # The size scans read every subset, so they charge all 2^n before starting.
 
 
-def min_ids_size_brute(graph: Digraph, cap: int = 20, budget: int | None = None) -> int | None:
-    """Minimum size of an independent dominating set; None when there is none."""
+def _dominates(out_masks: tuple[int, ...], full: int, mask: int) -> bool:
+    cover = mask
+    rem = mask
+    while rem:
+        v = (rem & -rem).bit_length() - 1
+        rem &= rem - 1
+        cover |= out_masks[v]
+    return cover == full
+
+
+def _min_size(
+    graph: Digraph, cap: int, budget: int | None, test: Callable[[tuple[int, ...], int, int], bool]
+) -> int | None:
+    """Fewest members of a subset that passes ``test``; None when none does."""
     search = _Search(budget)
     _check_cap(graph, cap)
     search.charge(1 << graph.n)
     out_masks = graph.out_masks
     full = (1 << graph.n) - 1
-    best: int | None = None
+    best = graph.n + 1
     for mask in range(1 << graph.n):
-        if (best is None or mask.bit_count() < best) and _ids_mask(out_masks, full, mask):
-            best = mask.bit_count()
-    return best
+        size = mask.bit_count()
+        if size < best and test(out_masks, full, mask):
+            best = size
+    return best if best <= graph.n else None
+
+
+def min_ids_size_brute(graph: Digraph, cap: int = 20, budget: int | None = None) -> int | None:
+    """Minimum size of an independent dominating set; None when there is none."""
+    return _min_size(graph, cap, budget, _ids_mask)
 
 
 def min_dom_size_brute(graph: Digraph, cap: int = 20, budget: int | None = None) -> int:
     """Minimum size of a (not necessarily independent) dominating set."""
-    search = _Search(budget)
-    _check_cap(graph, cap)
-    search.charge(1 << graph.n)
-    out_masks = graph.out_masks
-    full = (1 << graph.n) - 1
-    best = graph.n  # the whole vertex set always dominates
-    for mask in range(1 << graph.n):
-        if mask.bit_count() >= best:
-            continue
-        cover = mask
-        rem = mask
-        while rem:
-            v = (rem & -rem).bit_length() - 1
-            rem &= rem - 1
-            cover |= out_masks[v]
-        if cover == full:
-            best = mask.bit_count()
-    return best
+    return _min_size(graph, cap, budget, _dominates)  # the whole vertex set dominates
 
 
 def idomatic_brute(graph: Digraph, cap: int = 14, budget: int | None = None) -> int:

@@ -161,12 +161,12 @@ def test_criterion_07_layered_families():
     ok = True
     details = []
     for h, k in [(3, 2), (3, 3), (5, 2), (5, 3)]:
-        free = gen_dhk(DhkSpec(h, k, "ids_free", "text"), strict=False)
+        free = gen_dhk(DhkSpec(h, k, "ids_free"), strict=False)
         t0 = time.perf_counter()
         ok = ok and solve_exact(free.graph).status == "none"
         details.append(f"({h},{k}) free in {time.perf_counter() - t0:.2f}s")
 
-        with_ids = gen_dhk(DhkSpec(h, k, "with_ids", "text"), strict=False)
+        with_ids = gen_dhk(DhkSpec(h, k, "with_ids"), strict=False)
         layers = layer_decomposition(with_ids.graph)
         result = propagate_layer_seed(with_ids.graph, layers, 0, {0})
         ok = ok and result.consistent and is_ids(with_ids.graph, result.union).ids

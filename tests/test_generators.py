@@ -27,9 +27,12 @@ from idomlib import (
     random_oriented_bipartite,
     scc_period,
     sccs,
+    solve_auto,
     solve_dag,
     solve_exact,
+    solve_strong_by_layers,
 )
+from idomlib.cli import main
 
 from helpers import dominating_double_loop, independent_double_loop
 
@@ -116,22 +119,31 @@ class TestDhkFamily:
         with pytest.raises(GenerationError, match="degenerated"):
             gen_dhk(DhkSpec(3, 2, "with_ids"))
 
+    # the paper's claim: at every odd period, D_{h,k} has a solution-free
+    # variant and one with a solution, so the period alone decides nothing
+    PAPER_TABLE = [(h, k) for h in (3, 5, 7, 9) for k in range(3, 8)]
+
     def test_text_rules_certify_free_variants(self):
-        for h, k in [(3, 3), (5, 3)]:
+        for h, k in self.PAPER_TABLE:
             built = gen_dhk(DhkSpec(h, k))
             assert built.strongly_connected and built.period == h
-            assert solve_exact(built.graph).status == "none"
-
-    def test_figure_rules_differ_for_h3(self):
-        # the alternate arc-rule reading is not solution-free at h=3
-        built = gen_dhk(DhkSpec(3, 3, rules="figure"))
-        assert solve_exact(built.graph).status == "found"
+            for solve in (solve_auto, solve_exact, solve_strong_by_layers):
+                assert solve(built.graph).status == "none", (h, k, solve.__name__)
 
     def test_with_ids_variants_have_solutions(self):
-        for h, k in [(3, 3), (5, 3)]:
+        for h, k in self.PAPER_TABLE:
             built = gen_dhk(DhkSpec(h, k, "with_ids"))
-            assert built.period == h
-            assert solve_exact(built.graph).status == "found"
+            assert built.strongly_connected and built.period == h
+            for solve in (solve_auto, solve_exact, solve_strong_by_layers):
+                assert solve(built.graph).status == "found", (h, k, solve.__name__)
+
+    def test_one_arc_rule_reading(self, capsys):
+        with pytest.raises(TypeError):
+            DhkSpec(3, 4, rules="text")
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "dhk", "3", "4", "--rules", "text"])
+        assert exc.value.code == 2
+        assert "--rules" in capsys.readouterr().err
 
 
 class TestCartesianProduct:

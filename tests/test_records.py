@@ -83,8 +83,8 @@ class TestFrozenRecords:
         )
         assert repr(gen_dhk(DhkSpec(3, 3))) == (
             "DhkGraph(graph=Digraph(n=15, m=24), layers=((0, 1, 2), (3, 4, 5, 6, 7, 8), "
-            "(9, 10, 11, 12, 13, 14)), spec=DhkSpec(h=3, k=3, variant='ids_free', "
-            "rules='text'), strongly_connected=True, period=3)"
+            "(9, 10, 11, 12, 13, 14)), spec=DhkSpec(h=3, k=3, variant='ids_free'), "
+            "strongly_connected=True, period=3)"
         )
         assert repr(UndirectedGraph.from_edges(3, [(1, 0), (2, 1)])) == (
             "UndirectedGraph(n=3, edges=frozenset({(0, 1), (1, 2)}))"
@@ -108,9 +108,9 @@ class TestFrozenRecords:
 
 class TestDhkSpec:
     def test_defaults_and_repr(self):
-        assert DhkSpec(5, 3) == DhkSpec(h=5, k=3, variant="ids_free", rules="text")
-        assert repr(DhkSpec(3, 4, variant="with_ids", rules="figure")) == (
-            "DhkSpec(h=3, k=4, variant='with_ids', rules='figure')"
+        assert DhkSpec(5, 3) == DhkSpec(h=5, k=3, variant="ids_free")
+        assert repr(DhkSpec(3, 4, variant="with_ids")) == (
+            "DhkSpec(h=3, k=4, variant='with_ids')"
         )
 
     def test_hash_and_equality_are_fieldwise(self):
@@ -125,7 +125,6 @@ class TestDhkSpec:
             ((1, 2), {}, "h must be odd"),
             ((3, 1), {}, "k must be at least 2"),
             ((3, 2), {"variant": "nope"}, "unknown variant 'nope'"),
-            ((3, 2), {"rules": "nope"}, "unknown rules 'nope'"),
         ],
     )
     def test_validation(self, args, kwargs, message):

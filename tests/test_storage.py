@@ -98,11 +98,10 @@ def _format_corpus(family):
         )
     if family == "dhk":
         return [
-            gen_dhk(DhkSpec(h, k, variant, rules), strict=False).graph
+            gen_dhk(DhkSpec(h, k, variant), strict=False).graph
             for h in (3, 5, 7)
             for k in (2, 3, 4)
             for variant in ("ids_free", "with_ids")
-            for rules in ("text", "figure")
         ]
     if family == "random":
         return [
@@ -143,7 +142,7 @@ def _format_corpus(family):
     "family, digest",
     [
         ("basic", "fa90780954ce7989"),
-        ("dhk", "8f46b97051230382"),
+        ("dhk", "60e3f466252ffd2d"),
         ("random", "e1689593edd20bf2"),
         ("product", "2bcf4767b4140bf2"),
         ("double", "3ec230d8192ac4bb"),
