@@ -26,6 +26,18 @@ class ParseError(ValueError):
     """Malformed arc-list document."""
 
 
+# The vertex cap of every graph: an empty adjacency costs about 146 bytes
+# per vertex, so a graph at the cap holds about 28 MiB before its arcs.
+_MAX_VERTICES = 200_000
+
+
+def _check_vertices(n: int, what: str = "graph") -> None:
+    """Refuse ``n`` above the vertex cap; called before anything of size n
+    is allocated."""
+    if n > _MAX_VERTICES:
+        raise ValueError(f"{what} on {n} vertices exceeds the vertex cap of {_MAX_VERTICES}")
+
+
 class _Record:
     """Base of the records that are not tuples: a subclass names its fields
     in ``__slots__``, and is compared field by field and shown as
@@ -56,11 +68,13 @@ class Digraph:
     antiparallel pairs ``(u, v)`` / ``(v, u)`` are allowed. The sorted
     adjacency lists are the only stored form, so equal graphs have identical
     adjacency structure; ``arcs`` is derived from them on first read.
+    At most ``_MAX_VERTICES`` vertices.
     """
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
+        _check_vertices(n)
         out: list[list[int]] = [[] for _ in range(n)]
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
@@ -224,7 +238,8 @@ def parse_digraph(text: str) -> ParsedArcList:
     Lines starting with ``#`` are comments and blank lines are tolerated.
     The first data line is ``n m``; exactly ``m`` data lines ``u v`` follow
     (0-indexed, ASCII decimals). Duplicate arcs collapse and are counted;
-    self-loops, out-of-range ids, and malformed lines are errors.
+    self-loops, out-of-range ids, malformed lines and an ``n`` above the
+    vertex cap are errors.
     """
     data = (
         (lineno, stripped)
@@ -243,6 +258,10 @@ def parse_digraph(text: str) -> ParsedArcList:
         raise ParseError(f"line {header_line}: header must be two integers") from None
     if n < 0 or m < 0:
         raise ParseError(f"line {header_line}: counts must be non-negative")
+    try:
+        _check_vertices(n)
+    except ValueError as exc:
+        raise ParseError(f"line {header_line}: {exc}") from None
     count, lineno, line = 0, 0, ""
 
     def arcs() -> Iterator[tuple[int, int]]:

@@ -4,10 +4,14 @@ and seeded random instances for property tests."""
 
 from __future__ import annotations
 
+import math
 import random
-from typing import Iterable, NamedTuple
+from bisect import bisect
+from itertools import accumulate, chain, repeat
+from operator import add
+from typing import Iterable, Iterator, NamedTuple
 
-from .digraph import Digraph, _Record, is_ids
+from .digraph import _MAX_VERTICES, Digraph, _check_vertices, _Record, is_ids
 from .structure import _analyze
 
 __all__ = [
@@ -34,14 +38,18 @@ class GenerationError(ValueError):
     """A constructed instance failed its structural checks."""
 
 
-_MAX_VERTICES = 200_000  # size guard of the generators that multiply sizes
 _MAX_ATTEMPTS = 64  # resamplings of random_layered_strong before it gives up
+# The most pair tests one call of a random generator may draw (all 64
+# samples of random_layered_strong count): at about 40 ns a test, some 4 s.
+_MAX_PAIRS = 10**8
+_CHUNK = 1 << 15  # pair tests drawn per getrandbits call (256 KiB of words)
 
 
 def gen_cycle(n: int) -> Digraph:
     """Directed cycle 0 -> 1 -> ... -> n-1 -> 0. n=2 is an antiparallel pair."""
     if n < 2:
         raise ValueError("cycle needs at least 2 vertices")
+    _check_vertices(n, "cycle")
     return Digraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -49,6 +57,7 @@ def gen_path(n: int) -> Digraph:
     """Directed path 0 -> 1 -> ... -> n-1."""
     if n < 1:
         raise ValueError("path needs at least 1 vertex")
+    _check_vertices(n, "path")
     return Digraph(n, [(i, i + 1) for i in range(n - 1)])
 
 
@@ -57,6 +66,7 @@ def gen_wheel(n: int) -> Digraph:
     arc to every rim vertex, and the rim 0..n-1 is a directed cycle."""
     if n < 3:
         raise ValueError("wheel rim needs at least 3 vertices")
+    _check_vertices(n + 1, "wheel")
     arcs = [(i, (i + 1) % n) for i in range(n)]
     arcs.extend((n, i) for i in range(n))
     return Digraph(n + 1, arcs)
@@ -174,8 +184,7 @@ def cartesian_product(g: Digraph, h: Digraph) -> Digraph:
     """Cartesian product: (x, u) -> (y, u) for arcs x -> y, and (x, u) -> (x, v)
     for arcs u -> v. Vertex (x, u) gets id x * h.n + u (row-major)."""
     n, k = g.n * h.n, h.n
-    if n > _MAX_VERTICES:
-        raise ValueError(f"product on {n} vertices exceeds guard of {_MAX_VERTICES}")
+    _check_vertices(n, "product")
     arcs = [
         (x * k + u, y * k + u) for x, ys in enumerate(g.out_adj) for y in ys for u in range(k)
     ]
@@ -222,59 +231,97 @@ def cn_box_cn_ids(n: int) -> frozenset[int]:
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and at least 3")
+    product = cartesian_product(gen_cycle(n), gen_cycle(n))
     members = frozenset(
         i * n + (i + 2 * j) % n for i in range(n) for j in range(n // 2)
     )
-    product = cartesian_product(gen_cycle(n), gen_cycle(n))
     if not is_ids(product, members).ids:
         raise GenerationError(f"the row construction for n={n} is not a solution")
     return members
 
 
-def _check_prob(arc_prob: float) -> None:
+def _seeded(vertices: int, pairs: int, arc_prob: float, seed: int) -> random.Random:
+    """The checks of a random generator, made before anything is drawn or
+    allocated, then its stream."""
+    _check_vertices(vertices)
+    if pairs > _MAX_PAIRS:
+        raise ValueError(f"up to {pairs} pair tests exceed the cap of {_MAX_PAIRS} per graph")
     if not 0 <= arc_prob <= 1:  # also false for NaN
         raise ValueError(f"arc probability must be in [0, 1], got {arc_prob}")
+    return random.Random(seed)
+
+
+def _hits(rng: random.Random, count: int, p: float) -> Iterator[int]:
+    """The ascending t < count for which the t-th of ``count`` calls
+    ``rng.random() < p`` would hold. Drawn a chunk at a time as they are
+    read, so only one chunk's indices are held; read to the end, it leaves
+    ``rng`` where those calls would.
+
+    ``random()`` is X / 2^53 with X = (w0 >> 5) << 26 | w1 >> 6, built from
+    two consecutive Mersenne Twister words, and ``getrandbits`` hands out
+    the same words in the same order, low word first. So a test holds
+    exactly when X < ceil(p * 2^53). The top byte of w0 is X >> 45: below
+    the limit's top byte the test holds, above it fails, and only a tie
+    needs X itself.
+    """
+    limit = math.ceil(p * 2.0**53)
+    cut = limit >> 45
+    below = b"\x01" * cut + bytes(256 - cut)  # marks a top byte under the cut
+
+    def chunks() -> Iterator[list[int]]:
+        for start in range(0, count, _CHUNK):
+            size = min(_CHUNK, count - start)
+            words = rng.getrandbits(64 * size).to_bytes(8 * size, "little")
+            tops = words[3::8]
+            # a sure hit lies one past the run of misses before it
+            steps = map(add, map(len, tops.translate(below).split(b"\x01")), repeat(1))
+            found = list(accumulate(steps, initial=start - 1))[1:-1]
+            ties = []
+            i = tops.find(cut) if cut < 256 else -1
+            while i >= 0:
+                x = int.from_bytes(words[8 * i : 8 * i + 8], "little")
+                if ((x & 0xFFFFFFFF) >> 5 << 26 | x >> 38) < limit:
+                    ties.append(start + i)
+                i = tops.find(cut, i + 1)
+            yield sorted(found + ties) if ties else found
+
+    return chain.from_iterable(chunks())
 
 
 def random_dag(n: int, arc_prob: float, seed: int) -> Digraph:
-    """Acyclic: arcs only follow a random vertex order."""
+    """Acyclic: arcs only follow a random vertex order. The pairs i < j of
+    order positions are tested in lexicographic order."""
     if n < 1:
         raise ValueError("n must be positive")
-    _check_prob(arc_prob)
-    rng = random.Random(seed)
+    rng = _seeded(n, n * (n - 1) // 2, arc_prob, seed)
     order = list(range(n))
     rng.shuffle(order)
-    arcs = [
-        (order[i], order[j])
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rng.random() < arc_prob
-    ]
+    first = list(accumulate(range(n - 1, 0, -1), initial=0))  # pair index of (i, i + 1)
+    arcs = []
+    for t in _hits(rng, first[-1], arc_prob):
+        i = bisect(first, t) - 1
+        arcs.append((order[i], order[i + 1 + t - first[i]]))
     return Digraph(n, arcs)
 
 
 def random_digraph(n: int, arc_prob: float, seed: int) -> Digraph:
-    """Each ordered pair becomes an arc independently."""
+    """Each ordered pair becomes an arc independently; the pairs u != v are
+    tested in lexicographic order."""
     if n < 1:
         raise ValueError("n must be positive")
-    _check_prob(arc_prob)
-    rng = random.Random(seed)
-    arcs = [
-        (u, v)
-        for u in range(n)
-        for v in range(n)
-        if u != v and rng.random() < arc_prob
-    ]
-    return Digraph(n, arcs)
+    pairs = n * (n - 1)
+    hits = _hits(_seeded(n, pairs, arc_prob, seed), pairs, arc_prob)
+    return Digraph(n, [(u, r + (r >= u)) for u, r in map(divmod, hits, repeat(n - 1))])
 
 
 def random_oriented_bipartite(a: int, b: int, arc_prob: float, seed: int) -> Digraph:
     """Parts 0..a-1 and a..a+b-1; each cross pair gets at most one arc, in a
-    random direction, so there are never antiparallel pairs."""
+    random direction, so there are never antiparallel pairs. Drawn one
+    ``random()`` call at a time: each hit draws its direction next, so the
+    pair tests are not consecutive in the stream."""
     if a < 1 or b < 1:
         raise ValueError("both parts must be nonempty")
-    _check_prob(arc_prob)
-    rng = random.Random(seed)
+    rng = _seeded(a + b, a * b, arc_prob, seed)
     arcs = []
     for x in range(a):
         for y in range(a, a + b):
@@ -287,14 +334,16 @@ def random_layered_strong(h: int, layer_size: int, arc_prob: float, seed: int) -
     """Strongly connected with period exactly h: layers of equal size, arcs
     only between consecutive layers. A spanning cycle through all vertices
     guarantees strong connectivity (and a period divisible by h); random
-    extra arcs are added, resampling until the period is exactly h."""
+    extra arcs are added, resampling until the period is exactly h. Each
+    sample tests the pairs (vertex j of layer i, vertex j2 of layer i + 1)
+    in lexicographic order of (i, j, j2)."""
     if h < 1 or layer_size < 1:
         raise ValueError("h and layer_size must be positive")
     if h == 1:
         raise ValueError("layers need h >= 2 (a single layer admits no arcs)")
-    _check_prob(arc_prob)
-    rng = random.Random(seed)
     s = layer_size
+    pairs = h * s * s
+    rng = _seeded(h * s, _MAX_ATTEMPTS * pairs, arc_prob, seed)
     vertex = lambda i, j: i * s + j
     for _ in range(_MAX_ATTEMPTS):
         arcs = []
@@ -303,12 +352,10 @@ def random_layered_strong(h: int, layer_size: int, arc_prob: float, seed: int) -
             for j in range(s):
                 target = (j + 1) % s if i == 0 else j
                 arcs.append((vertex(i, j), vertex(nxt, target)))
-        for i in range(h):
-            nxt = (i + 1) % h
-            for j in range(s):
-                for j2 in range(s):
-                    if rng.random() < arc_prob:
-                        arcs.append((vertex(i, j), vertex(nxt, j2)))
+        # pair t joins vertex t // s, in layer t // s^2, to vertex t % s of
+        # the next layer
+        hits = _hits(rng, pairs, arc_prob)
+        arcs += [(u, (u // s + 1) % h * s + j2) for u, j2 in map(divmod, hits, repeat(s))]
         graph = Digraph(h * s, arcs)
         analysis = _analyze(graph)
         if not analysis.strong:

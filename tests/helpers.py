@@ -8,6 +8,7 @@ independent route.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import hypothesis.strategies as st
@@ -18,6 +19,7 @@ from idomlib import (
     ParsedArcList,
     UndirectedGraph,
     induced_subgraph,
+    period,
     random_digraph,
     sccs,
 )
@@ -312,6 +314,61 @@ def parse_by_lines(text: str) -> ParsedArcList:
         arcs.append((u, v))
     graph = Digraph(n, arcs)
     return ParsedArcList(graph, len(arcs) - graph.m)
+
+
+# The seeded random generators with one ``rng.random()`` call per pair
+# test, as they were written before the tests were drawn in bulk: the
+# reference for the streams. Each returns the graph and the stream, left
+# where the generator leaves its own.
+
+
+def random_dag_by_calls(n: int, arc_prob: float, seed: int):
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    arcs = [
+        (order[i], order[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < arc_prob
+    ]
+    return Digraph(n, arcs), rng
+
+
+def random_digraph_by_calls(n: int, arc_prob: float, seed: int):
+    rng = random.Random(seed)
+    arcs = [
+        (u, v)
+        for u in range(n)
+        for v in range(n)
+        if u != v and rng.random() < arc_prob
+    ]
+    return Digraph(n, arcs), rng
+
+
+def random_layered_strong_by_calls(h: int, layer_size: int, arc_prob: float, seed: int):
+    """Also the number of samples drawn; the graph is None when none of the
+    64 samples has period h."""
+    rng = random.Random(seed)
+    s = layer_size
+    vertex = lambda i, j: i * s + j
+    for samples in range(1, 65):
+        arcs = []
+        for i in range(h):
+            nxt = (i + 1) % h
+            for j in range(s):
+                target = (j + 1) % s if i == 0 else j
+                arcs.append((vertex(i, j), vertex(nxt, target)))
+        for i in range(h):
+            nxt = (i + 1) % h
+            for j in range(s):
+                for j2 in range(s):
+                    if rng.random() < arc_prob:
+                        arcs.append((vertex(i, j), vertex(nxt, j2)))
+        graph = Digraph(h * s, arcs)
+        if period(graph) == h:  # the spanning cycle makes it strongly connected
+            return graph, rng, samples
+    return None, rng, 64
 
 
 # Every line boundary that ``str.splitlines`` knows.

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -402,6 +403,39 @@ class TestGen:
         code, out, err = run(capsys, "gen", "dhk", h, k)
         assert code == 2 and out == ""
         assert f"D_({h},{k}) has more than 200000 vertices" in err
+
+
+class TestSizeCaps:
+    """Inputs that would once allocate or draw without bound exit 2 at once."""
+
+    def test_huge_declared_vertex_count(self, capsys, write_graph):
+        path = write_graph("100000000 0\n")  # 12 bytes
+        for command in ("analyze", "solve"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, command, path)
+            assert time.perf_counter() - start < 1
+            assert (code, out) == (2, "")
+            assert err == "error: line 1: graph on 100000000 vertices exceeds the vertex cap of 200000\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cycle", "300000000"], "cycle on 300000000 vertices exceeds the vertex cap of 200000"),
+            (
+                ["random-digraph", "200000", "0.00001", "--seed", "1"],
+                "up to 39999800000 pair tests exceed the cap of 100000000 per graph",
+            ),
+            (
+                ["random-dag", "100000", "0.00002", "--seed", "1"],
+                "up to 4999950000 pair tests exceed the cap of 100000000 per graph",
+            ),
+        ],
+    )
+    def test_generators_over_a_cap(self, capsys, argv, message):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "gen", *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestBrute:

@@ -160,6 +160,26 @@ class TestParse:
         assert parsed.graph.m == 20_000
         assert peak < 5 * 2**20
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("100000000 0\n", "line 1: graph on 100000000 vertices exceeds the vertex cap of 200000"),
+            ("# big\n\n200001 1\n0 1\n", "line 3: graph on 200001 vertices exceeds the vertex cap of 200000"),
+            # the cap is checked before the arc lines are counted
+            ("300000 2\n0 1\n", "line 1: graph on 300000 vertices exceeds the vertex cap of 200000"),
+        ],
+    )
+    def test_vertex_cap_is_checked_at_the_header(self, text, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as info:
+                parse_digraph(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == message
+        assert peak < 2**20  # no adjacency of the declared n
+
     def test_emit_then_parse_is_fixed_point(self):
         parsed = parse_digraph("# messy\n3 4\n2 0\n0 1\n1 2\n0 1\n")
         assert parsed.duplicate_arcs == 1

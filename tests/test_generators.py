@@ -1,3 +1,8 @@
+import math
+import random
+import time
+import types
+
 import pytest
 
 from idomlib import (
@@ -32,9 +37,18 @@ from idomlib import (
     solve_exact,
     solve_strong_by_layers,
 )
+from idomlib import generators
 from idomlib.cli import main
+from idomlib.digraph import _MAX_VERTICES, _check_vertices
+from idomlib.generators import _CHUNK, _MAX_PAIRS, _hits, _seeded
 
-from helpers import dominating_double_loop, independent_double_loop
+from helpers import (
+    dominating_double_loop,
+    independent_double_loop,
+    random_dag_by_calls,
+    random_digraph_by_calls,
+    random_layered_strong_by_calls,
+)
 
 
 class TestBasicFamilies:
@@ -318,3 +332,174 @@ class TestRandomGenerators:
                 s = {v for v in range(g.n) if mask >> v & 1}
                 assert is_independent(g, s)[0] == independent_double_loop(g, s)
                 assert is_dominating(g, s)[0] == dominating_double_loop(g, s)
+
+
+# Probabilities at the edges of the bulk test: the ends of [0, 1], one step
+# inside them, limits on a top-byte boundary (1/256, 255/256) and inside a
+# top byte (3/512, 0.3), and the sparse values of the scale ladder.
+EDGE_PROBS = [
+    0, 1, 2**-53, 1 - 2**-53, 1 / 256, 255 / 256, 3 / 512, 0.3, 2 / 250, 2 / 1000, 3 / 8000
+]
+
+
+@pytest.fixture
+def streams(monkeypatch):
+    """The streams the generators draw from, in the order they are made."""
+    made = []
+
+    class Recorded(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(generators, "random", types.SimpleNamespace(Random=Recorded))
+    return made
+
+
+class TestBulkDraws:
+    """``_hits`` draws the pair tests in bulk; every graph and every stream
+    must stay what one ``random()`` call per pair gives."""
+
+    @pytest.mark.parametrize("p", EDGE_PROBS)
+    def test_hits_match_per_call_tests(self, p):
+        for count in (0, 1, 2, 3, 100, _CHUNK - 1, _CHUNK, _CHUNK + 1):
+            for seed in (0, 1):
+                bulk, calls = random.Random(seed), random.Random(seed)
+                expected = [t for t in range(count) if calls.random() < p]
+                assert list(_hits(bulk, count, p)) == expected, (count, seed)
+                assert bulk.getstate() == calls.getstate(), (count, seed)
+
+    def test_top_byte_ties_go_both_ways(self):
+        # 0.3 * 2^53 lies inside top byte 76: a tie needs the whole draw
+        p, count = 0.3, 3 * _CHUNK
+        calls = random.Random(5)
+        draws = [calls.random() for _ in range(count)]
+        ties = [x < p for x in draws if int(x * 2**53) >> 45 == 76]
+        assert True in ties and False in ties
+        bulk = random.Random(5)
+        assert list(_hits(bulk, count, p)) == [t for t, x in enumerate(draws) if x < p]
+        assert bulk.getstate() == calls.getstate()
+
+    def test_limits_at_and_beside_a_draw(self):
+        # p equal to a draw, or one float away from it, puts the limit
+        # exactly at that draw's X: the test is strict and rounds p up
+        calls = random.Random(9)
+        draws = [calls.random() for _ in range(500)]
+        for x in draws[:40]:
+            for p in (x, math.nextafter(x, 0), math.nextafter(x, 1)):
+                bulk = random.Random(9)
+                expected = [t for t, y in enumerate(draws) if y < p]
+                assert list(_hits(bulk, len(draws), p)) == expected, p
+
+    def test_generators_match_per_call_reference(self, streams):
+        for n in (1, 2, 3, 7, 30):
+            for p in [*EDGE_PROBS, min(1, 2 / n)]:
+                for seed in range(4):
+                    for build, reference in (
+                        (random_dag, random_dag_by_calls),
+                        (random_digraph, random_digraph_by_calls),
+                    ):
+                        graph, rng = reference(n, p, seed)
+                        assert build(n, p, seed) == graph, (build.__name__, n, p, seed)
+                        assert streams[-1].getstate() == rng.getstate()
+
+    def test_layered_matches_per_call_reference(self, streams):
+        for h, size in ((2, 2), (3, 3), (4, 5), (3, 13)):
+            for p in (0.3, 0.5, 2 / size, 1 / 256, 255 / 256, 1):
+                for seed in range(4):
+                    graph, rng, _ = random_layered_strong_by_calls(h, size, p, seed)
+                    try:
+                        built = random_layered_strong(h, size, p, seed)
+                    except GenerationError:  # every sample missed period h
+                        built = None
+                    assert built == graph, (h, size, p, seed)
+                    assert streams[-1].getstate() == rng.getstate()
+
+    def test_layered_resampling_draws_the_same_samples(self, streams):
+        graph, rng, samples = random_layered_strong_by_calls(2, 3, 0.1, 0)
+        assert samples == 3
+        assert random_layered_strong(2, 3, 0.1, 0) == graph
+        assert streams[-1].getstate() == rng.getstate()
+        # all 64 samples of an exhausted call
+        graph, rng, samples = random_layered_strong_by_calls(2, 2, 0.0, 1)
+        assert graph is None
+        with pytest.raises(GenerationError, match="could not hit"):
+            random_layered_strong(2, 2, 0.0, 1)
+        assert streams[-1].getstate() == rng.getstate()
+
+    def test_scale_ladder_instances_match(self, streams):
+        for n in (250, 500, 1000):
+            size = n // 4
+            for seed in (3, 4):
+                graph, rng = random_dag_by_calls(n, 2 / n, seed)
+                assert random_dag(n, 2 / n, seed) == graph
+                assert streams[-1].getstate() == rng.getstate()
+                graph, rng, _ = random_layered_strong_by_calls(4, size, 2 / size, seed)
+                assert random_layered_strong(4, size, 2 / size, seed) == graph
+                assert streams[-1].getstate() == rng.getstate()
+
+    def test_chunk_boundaries_split_no_pair(self, monkeypatch, streams):
+        # chunks of 1, 7 and 8 draws: every hit and tie may sit at an edge
+        for chunk in (1, 7, 8):
+            monkeypatch.setattr(generators, "_CHUNK", chunk)
+            for p in (0.3, 255 / 256, 2 / 20):
+                for seed in range(3):
+                    graph, rng = random_digraph_by_calls(20, p, seed)
+                    assert random_digraph(20, p, seed) == graph, (chunk, p, seed)
+                    assert streams[-1].getstate() == rng.getstate()
+                    graph, rng = random_dag_by_calls(20, p, seed)
+                    assert random_dag(20, p, seed) == graph, (chunk, p, seed)
+                    assert streams[-1].getstate() == rng.getstate()
+
+
+class TestSizeCaps:
+    """One vertex cap for every graph and one cap on the pair tests of a
+    random graph, both checked before anything is drawn or allocated."""
+
+    def test_vertex_cap_boundary(self):
+        _check_vertices(_MAX_VERTICES)
+        with pytest.raises(ValueError, match="exceeds the vertex cap of 200000"):
+            _check_vertices(_MAX_VERTICES + 1)
+        with pytest.raises(ValueError, match="graph on 200001 vertices exceeds the vertex cap"):
+            Digraph(_MAX_VERTICES + 1)
+
+    @pytest.mark.parametrize(
+        "build, what",
+        [
+            (lambda: gen_cycle(300_000_000), "cycle on 300000000 vertices"),
+            (lambda: gen_path(_MAX_VERTICES + 1), "path on 200001 vertices"),
+            (lambda: gen_wheel(_MAX_VERTICES), "wheel on 200001 vertices"),
+            (lambda: cn_box_cn_ids(449), "product on 201601 vertices"),
+            (lambda: random_oriented_bipartite(1, 10**8, 0.5, 1), "graph on 100000001 vertices"),
+            (lambda: random_layered_strong(10**6, 1, 0.5, 1), "graph on 1000000 vertices"),
+        ],
+    )
+    def test_generators_refuse_too_many_vertices(self, build, what):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"{what} exceeds the vertex cap"):
+            build()
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize(
+        "build, pairs",
+        [
+            (lambda: random_digraph(200_000, 0.00001, 1), 200_000 * 199_999),
+            (lambda: random_dag(100_000, 0.00002, 1), 100_000 * 99_999 // 2),
+            (lambda: random_digraph(10_001, 0.5, 1), 10_001 * 10_000),
+            (lambda: random_oriented_bipartite(10_001, 10_000, 0.5, 1), 10_001 * 10_000),
+            # every one of the 64 samples counts
+            (lambda: random_layered_strong(4, 1000, 0.001, 1), 64 * 4 * 1000 * 1000),
+        ],
+    )
+    def test_generators_refuse_too_many_pair_tests(self, build, pairs):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"up to {pairs} pair tests exceed the cap of 100000000"):
+            build()
+        assert time.perf_counter() - start < 1
+
+    def test_pair_cap_boundary(self):
+        assert _seeded(1, _MAX_PAIRS, 0.5, 1).getstate() == random.Random(1).getstate()
+        with pytest.raises(ValueError, match="pair tests exceed"):
+            _seeded(1, _MAX_PAIRS + 1, 0.5, 1)
+        # random_digraph(8000, .) stays legal
+        _seeded(8000, 8000 * 7999, 3 / 8000, 1)
