@@ -116,12 +116,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 _SOLVERS = {
-    "auto": lambda g, budget: solve_auto(g, budget),
+    "auto": solve_auto,
     "dag": lambda g, budget: solve_dag(g),
     "even": lambda g, budget: solve_even_period(g),
     "bipartite": lambda g, budget: solve_bipartite(g),
-    "layers": lambda g, budget: solve_strong_by_layers(g, budget),
-    "exact": lambda g, budget: solve_exact(g, budget),
+    "layers": solve_strong_by_layers,
+    "exact": solve_exact,
     "brute": lambda g, budget: brute_force_solve(g, budget=budget),
 }
 
@@ -190,44 +190,55 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _dhk(h: int, k: int, variant: str):
+    return gen_dhk(DhkSpec(h, k, "ids_free" if variant == "free" else "with_ids")).graph
+
+
+def _double(path: str):
+    base = _load(path)
+    edges = [(u, v) for u, vs in enumerate(base.out_adj) for v in vs]
+    return double_edges(UndirectedGraph.from_edges(base.n, edges))
+
+
+_SEED = {"type": int, "required": True}
+_VARIANT = {"choices": ["free", "ids"], "default": "free"}
+
+# Each `idom gen` family: its arguments, in the order its builder takes them,
+# and the builder. A positional argument maps to its type, an option to the
+# keywords of its add_argument call.
+_FAMILIES = {
+    "cycle": ({"n": int}, gen_cycle),
+    "path": ({"n": int}, gen_path),
+    "wheel": ({"n": int}, gen_wheel),
+    "paw": ({}, gen_paw),
+    "dhk": ({"h": int, "k": int, "--variant": _VARIANT}, _dhk),
+    "product": ({"a": str, "b": str}, lambda a, b: cartesian_product(_load(a), _load(b))),
+    "double": ({"g": str}, _double),
+    "random-dag": ({"n": int, "p": float, "--seed": _SEED}, random_dag),
+    "random-bipartite": (
+        {"a": int, "b": int, "p": float, "--seed": _SEED},
+        random_oriented_bipartite,
+    ),
+    "random-layered": (
+        {"h": int, "size": int, "p": float, "--seed": _SEED},
+        random_layered_strong,
+    ),
+    "random-digraph": ({"n": int, "p": float, "--seed": _SEED}, random_digraph),
+}
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
-    family = args.family
-    if family == "cycle":
-        graph = gen_cycle(args.n)
-    elif family == "path":
-        graph = gen_path(args.n)
-    elif family == "wheel":
-        graph = gen_wheel(args.n)
-    elif family == "paw":
-        graph = gen_paw()
-    elif family == "dhk":
-        variant = "ids_free" if args.variant == "free" else "with_ids"
-        graph = gen_dhk(DhkSpec(args.h, args.k, variant)).graph
-    elif family == "product":
-        graph = cartesian_product(_load(args.a), _load(args.b))
-    elif family == "double":
-        base = _load(args.g)
-        edges = [(u, v) for u, vs in enumerate(base.out_adj) for v in vs]
-        graph = double_edges(UndirectedGraph.from_edges(base.n, edges))
-    elif family == "random-dag":
-        graph = random_dag(args.n, args.p, args.seed)
-    elif family == "random-bipartite":
-        graph = random_oriented_bipartite(args.a, args.b, args.p, args.seed)
-    elif family == "random-layered":
-        graph = random_layered_strong(args.h, args.size, args.p, args.seed)
-    elif family == "random-digraph":
-        graph = random_digraph(args.n, args.p, args.seed)
-    else:  # pragma: no cover - argparse restricts the choices
-        raise AssertionError(family)
+    params, build = _FAMILIES[args.family]
+    graph = build(*(getattr(args, name.lstrip("-")) for name in params))
     sys.stdout.write(format_arc_list(graph))
     return EXIT_OK
 
 
 _ORACLES = {
     "exist": lambda g, cap, budget: brute_force_solve(g, cap, budget).found,
-    "i": lambda g, cap, budget: min_ids_size_brute(g, cap, budget),
-    "gamma": lambda g, cap, budget: min_dom_size_brute(g, cap, budget),
-    "idomatic": lambda g, cap, budget: idomatic_brute(g, cap, budget),
+    "i": min_ids_size_brute,
+    "gamma": min_dom_size_brute,
+    "idomatic": idomatic_brute,
 }
 
 
@@ -278,40 +289,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit a generated graph as an arc list")
     fam = p.add_subparsers(dest="family", required=True)
-    q = fam.add_parser("cycle")
-    q.add_argument("n", type=int)
-    q = fam.add_parser("path")
-    q.add_argument("n", type=int)
-    q = fam.add_parser("wheel")
-    q.add_argument("n", type=int)
-    fam.add_parser("paw")
-    q = fam.add_parser("dhk")
-    q.add_argument("h", type=int)
-    q.add_argument("k", type=int)
-    q.add_argument("--variant", choices=["free", "ids"], default="free")
-    q = fam.add_parser("product")
-    q.add_argument("a")
-    q.add_argument("b")
-    q = fam.add_parser("double")
-    q.add_argument("g")
-    q = fam.add_parser("random-dag")
-    q.add_argument("n", type=int)
-    q.add_argument("p", type=float)
-    q.add_argument("--seed", type=int, required=True)
-    q = fam.add_parser("random-bipartite")
-    q.add_argument("a", type=int)
-    q.add_argument("b", type=int)
-    q.add_argument("p", type=float)
-    q.add_argument("--seed", type=int, required=True)
-    q = fam.add_parser("random-layered")
-    q.add_argument("h", type=int)
-    q.add_argument("size", type=int)
-    q.add_argument("p", type=float)
-    q.add_argument("--seed", type=int, required=True)
-    q = fam.add_parser("random-digraph")
-    q.add_argument("n", type=int)
-    q.add_argument("p", type=float)
-    q.add_argument("--seed", type=int, required=True)
+    for family, (params, _) in _FAMILIES.items():
+        q = fam.add_parser(family)
+        for name, kind in params.items():
+            q.add_argument(name, **(kind if name.startswith("--") else {"type": kind}))
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("brute", help="exhaustive oracle values")

@@ -29,6 +29,10 @@ class ParseError(ValueError):
 # The vertex cap of every graph: an empty adjacency costs about 146 bytes
 # per vertex, so a graph at the cap holds about 28 MiB before its arcs.
 _MAX_VERTICES = 200_000
+# The arc cap of a generated graph, checked before its first arc is built:
+# an arc costs about 113-128 bytes while a generator builds the graph, so a
+# graph at the cap holds about 1.2 GiB.
+_MAX_ARCS = 10**7
 
 
 def _check_vertices(n: int, what: str = "graph") -> None:

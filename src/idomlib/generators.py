@@ -11,7 +11,7 @@ from itertools import accumulate, chain, repeat
 from operator import add
 from typing import Iterable, Iterator, NamedTuple
 
-from .digraph import _MAX_VERTICES, Digraph, _check_vertices, _Record, is_ids
+from .digraph import _MAX_ARCS, _MAX_VERTICES, Digraph, _check_vertices, _Record, is_ids
 from .structure import _analyze
 
 __all__ = [
@@ -185,6 +185,9 @@ def cartesian_product(g: Digraph, h: Digraph) -> Digraph:
     for arcs u -> v. Vertex (x, u) gets id x * h.n + u (row-major)."""
     n, k = g.n * h.n, h.n
     _check_vertices(n, "product")
+    m = g.m * k + h.m * g.n
+    if m > _MAX_ARCS:
+        raise ValueError(f"product with {m} arcs exceeds the arc cap of {_MAX_ARCS}")
     arcs = [
         (x * k + u, y * k + u) for x, ys in enumerate(g.out_adj) for y in ys for u in range(k)
     ]
@@ -240,14 +243,22 @@ def cn_box_cn_ids(n: int) -> frozenset[int]:
     return members
 
 
-def _seeded(vertices: int, pairs: int, arc_prob: float, seed: int) -> random.Random:
+def _seeded(
+    vertices: int, pairs: int, arc_prob: float, seed: int, sample: int = 0
+) -> random.Random:
     """The checks of a random generator, made before anything is drawn or
-    allocated, then its stream."""
+    allocated, then its stream. ``pairs`` counts every pair test the call
+    may draw, ``sample`` those of one graph it builds, whose expected arc
+    count ``arc_prob * sample`` the arc cap bounds."""
     _check_vertices(vertices)
     if pairs > _MAX_PAIRS:
         raise ValueError(f"up to {pairs} pair tests exceed the cap of {_MAX_PAIRS} per graph")
     if not 0 <= arc_prob <= 1:  # also false for NaN
         raise ValueError(f"arc probability must be in [0, 1], got {arc_prob}")
+    if arc_prob * sample > _MAX_ARCS:
+        raise ValueError(
+            f"an expected {arc_prob * sample:.0f} arcs exceed the arc cap of {_MAX_ARCS} per graph"
+        )
     return random.Random(seed)
 
 
@@ -293,7 +304,8 @@ def random_dag(n: int, arc_prob: float, seed: int) -> Digraph:
     order positions are tested in lexicographic order."""
     if n < 1:
         raise ValueError("n must be positive")
-    rng = _seeded(n, n * (n - 1) // 2, arc_prob, seed)
+    pairs = n * (n - 1) // 2
+    rng = _seeded(n, pairs, arc_prob, seed, pairs)
     order = list(range(n))
     rng.shuffle(order)
     first = list(accumulate(range(n - 1, 0, -1), initial=0))  # pair index of (i, i + 1)
@@ -310,7 +322,7 @@ def random_digraph(n: int, arc_prob: float, seed: int) -> Digraph:
     if n < 1:
         raise ValueError("n must be positive")
     pairs = n * (n - 1)
-    hits = _hits(_seeded(n, pairs, arc_prob, seed), pairs, arc_prob)
+    hits = _hits(_seeded(n, pairs, arc_prob, seed, pairs), pairs, arc_prob)
     return Digraph(n, [(u, r + (r >= u)) for u, r in map(divmod, hits, repeat(n - 1))])
 
 
@@ -321,7 +333,7 @@ def random_oriented_bipartite(a: int, b: int, arc_prob: float, seed: int) -> Dig
     pair tests are not consecutive in the stream."""
     if a < 1 or b < 1:
         raise ValueError("both parts must be nonempty")
-    rng = _seeded(a + b, a * b, arc_prob, seed)
+    rng = _seeded(a + b, a * b, arc_prob, seed, a * b)
     arcs = []
     for x in range(a):
         for y in range(a, a + b):
@@ -343,7 +355,7 @@ def random_layered_strong(h: int, layer_size: int, arc_prob: float, seed: int) -
         raise ValueError("layers need h >= 2 (a single layer admits no arcs)")
     s = layer_size
     pairs = h * s * s
-    rng = _seeded(h * s, _MAX_ATTEMPTS * pairs, arc_prob, seed)
+    rng = _seeded(h * s, _MAX_ATTEMPTS * pairs, arc_prob, seed, pairs)
     vertex = lambda i, j: i * s + j
     for _ in range(_MAX_ATTEMPTS):
         arcs = []

@@ -16,6 +16,7 @@ from idomlib import (
     format_arc_list,
     gen_cycle,
     gen_dhk,
+    gen_path,
     gen_paw,
     gen_wheel,
     is_strongly_connected,
@@ -437,6 +438,14 @@ class TestSizeCaps:
         assert time.perf_counter() - start < 1
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_dense_random_digraph_over_the_arc_cap(self, capsys):
+        # 6.4 * 10^7 pair tests are legal, but as many arcs would take 7-8 GiB
+        start = time.perf_counter()
+        code, out, err = run(capsys, "gen", "random-digraph", "8000", "1.0", "--seed", "1")
+        assert time.perf_counter() - start < 1
+        message = "an expected 63992000 arcs exceed the arc cap of 10000000 per graph"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestBrute:
     def test_ids_size_none(self, capsys, write_graph):
@@ -532,11 +541,22 @@ class TestRoundTrips:
         ("random-bipartite", "4", "5", "0.4", "--seed", "4"),
         ("random-layered", "4", "3", "0.5", "--seed", "4"),
         ("random-digraph", "8", "0.3", "--seed", "4"),
+        ("product", "c3.txt", "p2.txt"),
+        ("double", "p4.txt"),
     ]
+    # the file arguments of FAMILIES, written with write_graph before a call
+    FILES = {"c3.txt": gen_cycle(3), "p2.txt": gen_path(2), "p4.txt": gen_path(4)}
+
+    @classmethod
+    def argv(cls, family, write_graph):
+        return ["gen", *(write_graph(cls.FILES[a]) if a in cls.FILES else a for a in family)]
+
+    def test_every_family_is_covered(self):
+        assert sorted({family[0] for family in self.FAMILIES}) == sorted(idomlib.cli._FAMILIES)
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: "-".join(f[:3]))
     def test_gen_analyze_solve_verify_chain(self, family, capsys, write_graph):
-        code, out, _ = run(capsys, "gen", *family)
+        code, out, _ = run(capsys, *self.argv(family, write_graph))
         assert code == 0
         path = write_graph(out)
 
@@ -553,7 +573,7 @@ class TestRoundTrips:
 
     def test_gen_output_is_normalized(self, capsys, write_graph):
         for family in self.FAMILIES:
-            _, out, _ = run(capsys, "gen", *family)
+            _, out, _ = run(capsys, *self.argv(family, write_graph))
             assert out == format_arc_list(parse_digraph(out).graph)
 
 
@@ -578,7 +598,7 @@ class TestNoArcSet:
             ("gen", "product", c5, chain),
             ("gen", "double", chain),
         ]
-        calls += [("gen", *family) for family in TestRoundTrips.FAMILIES]
+        calls += [TestRoundTrips.argv(family, write_graph) for family in TestRoundTrips.FAMILIES]
         built = record_built_graphs(monkeypatch)
         for argv in calls:
             assert run(capsys, *argv)[0] == 0, argv
@@ -615,3 +635,30 @@ class TestStartPath:
         result = self.child("-c", self.ENTRY, "analyze", path, "--json")
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout) == {"period": 4, "sccs": 1, "layers": [1, 1, 1, 1]}
+
+
+class TestReadme:
+    """The CLI section of README.md lists what ``idom`` accepts."""
+
+    README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+    def section(self, start):
+        with open(self.README, encoding="utf-8") as fh:
+            text = fh.read()
+        return text[text.index(start) :]
+
+    def test_gen_families(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # one usage line per family
+        block = self.section("`gen` families").split("```")[1]
+        listed = [line.split("#")[0].rstrip() for line in block.splitlines()[1:]]
+        usages = []
+        for family in idomlib.cli._FAMILIES:
+            with pytest.raises(SystemExit):
+                main(["gen", family, "--help"])
+            usage = capsys.readouterr().out.splitlines()[0]
+            usages.append(usage.replace("usage: ", "", 1).replace(" [-h]", "", 1))
+        assert listed == usages
+
+    def test_solve_methods(self):
+        paragraph = self.section("Solve methods:").split(". ")[0]
+        assert sorted(re.findall(r"`(\w+)`", paragraph)) == sorted(idomlib.cli._SOLVERS)

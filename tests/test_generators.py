@@ -39,7 +39,7 @@ from idomlib import (
 )
 from idomlib import generators
 from idomlib.cli import main
-from idomlib.digraph import _MAX_VERTICES, _check_vertices
+from idomlib.digraph import _MAX_ARCS, _MAX_VERTICES, _check_vertices
 from idomlib.generators import _CHUNK, _MAX_PAIRS, _hits, _seeded
 
 from helpers import (
@@ -452,9 +452,15 @@ class TestBulkDraws:
                     assert streams[-1].getstate() == rng.getstate()
 
 
+def complete_digraph(n, arcs=None):
+    """The complete digraph on n vertices, or its first ``arcs`` arcs."""
+    return Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v][:arcs])
+
+
 class TestSizeCaps:
-    """One vertex cap for every graph and one cap on the pair tests of a
-    random graph, both checked before anything is drawn or allocated."""
+    """One vertex cap for every graph, one cap on the pair tests of a random
+    graph and one on the arcs of a generated graph, all checked before
+    anything is drawn or allocated."""
 
     def test_vertex_cap_boundary(self):
         _check_vertices(_MAX_VERTICES)
@@ -503,3 +509,50 @@ class TestSizeCaps:
             _seeded(1, _MAX_PAIRS + 1, 0.5, 1)
         # random_digraph(8000, .) stays legal
         _seeded(8000, 8000 * 7999, 3 / 8000, 1)
+
+    @pytest.mark.parametrize(
+        "build, arcs",
+        [
+            (lambda: random_digraph(8000, 1.0, 1), 8000 * 7999),
+            (lambda: random_dag(8000, 0.5, 1), 8000 * 7999 // 4),
+            (lambda: random_oriented_bipartite(5000, 4000, 0.75, 1), 15_000_000),
+        ],
+    )
+    def test_generators_refuse_too_many_expected_arcs(self, build, arcs):
+        # random_layered_strong cannot reach the arc cap: the pair cap
+        # counts all 64 samples, so one sample has at most 1.5625 * 10^6 pairs
+        start = time.perf_counter()
+        with pytest.raises(
+            ValueError, match=f"an expected {arcs} arcs exceed the arc cap of 10000000 per graph"
+        ):
+            build()
+        assert time.perf_counter() - start < 1
+
+    def test_arc_cap_boundary(self):
+        pairs = 8000 * 7999
+        _seeded(8000, pairs, _MAX_ARCS / pairs, 1, pairs)
+        with pytest.raises(ValueError, match="arcs exceed the arc cap"):
+            _seeded(8000, pairs, 1.0001 * _MAX_ARCS / pairs, 1, pairs)
+        _seeded(8000, pairs, 3 / 8000, 1, pairs)  # random_digraph(8000, 3 / 8000)
+        # an input over the pair cap keeps the pair cap's message
+        with pytest.raises(ValueError, match="pair tests exceed the cap"):
+            _seeded(10_001, 10_001 * 10_000, 1.0, 1, 10_001 * 10_000)
+
+    @pytest.mark.parametrize(
+        "factors, arcs",
+        [
+            # 199,809 vertices, under the vertex cap
+            (lambda: (complete_digraph(447), complete_digraph(447)), 2 * 447 * 446 * 447),
+            # one row of 2000 arcs over 10^7
+            (lambda: (complete_digraph(100, 5001), Digraph(2000)), 10_002_000),
+        ],
+        ids=["k447-k447", "one-row-over"],
+    )
+    def test_product_over_the_arc_cap(self, factors, arcs):
+        g, h = factors()
+        start = time.perf_counter()
+        with pytest.raises(
+            ValueError, match=f"product with {arcs} arcs exceeds the arc cap of 10000000"
+        ):
+            cartesian_product(g, h)
+        assert time.perf_counter() - start < 1
