@@ -243,9 +243,7 @@ def cn_box_cn_ids(n: int) -> frozenset[int]:
     return members
 
 
-def _seeded(
-    vertices: int, pairs: int, arc_prob: float, seed: int, sample: int = 0
-) -> random.Random:
+def _seeded(vertices: int, pairs: int, arc_prob: float, seed: int, sample: int) -> random.Random:
     """The checks of a random generator, made before anything is drawn or
     allocated, then its stream. ``pairs`` counts every pair test the call
     may draw, ``sample`` those of one graph it builds, whose expected arc
@@ -348,7 +346,9 @@ def random_layered_strong(h: int, layer_size: int, arc_prob: float, seed: int) -
     guarantees strong connectivity (and a period divisible by h); random
     extra arcs are added, resampling until the period is exactly h. Each
     sample tests the pairs (vertex j of layer i, vertex j2 of layer i + 1)
-    in lexicographic order of (i, j, j2)."""
+    in lexicographic order of (i, j, j2). With more than one vertex a layer,
+    a sample that adds no arc is the bare cycle, of period h * layer_size,
+    and is skipped unbuilt."""
     if h < 1 or layer_size < 1:
         raise ValueError("h and layer_size must be positive")
     if h == 1:
@@ -357,18 +357,20 @@ def random_layered_strong(h: int, layer_size: int, arc_prob: float, seed: int) -
     pairs = h * s * s
     rng = _seeded(h * s, _MAX_ATTEMPTS * pairs, arc_prob, seed, pairs)
     vertex = lambda i, j: i * s + j
+    cycle = []
+    for i in range(h):
+        nxt = (i + 1) % h
+        for j in range(s):
+            target = (j + 1) % s if i == 0 else j
+            cycle.append((vertex(i, j), vertex(nxt, target)))
     for _ in range(_MAX_ATTEMPTS):
-        arcs = []
-        for i in range(h):
-            nxt = (i + 1) % h
-            for j in range(s):
-                target = (j + 1) % s if i == 0 else j
-                arcs.append((vertex(i, j), vertex(nxt, target)))
         # pair t joins vertex t // s, in layer t // s^2, to vertex t % s of
         # the next layer
         hits = _hits(rng, pairs, arc_prob)
-        arcs += [(u, (u // s + 1) % h * s + j2) for u, j2 in map(divmod, hits, repeat(s))]
-        graph = Digraph(h * s, arcs)
+        extra = [(u, (u // s + 1) % h * s + j2) for u, j2 in map(divmod, hits, repeat(s))]
+        if not extra and s > 1:  # the bare spanning cycle: period h * s
+            continue
+        graph = Digraph(h * s, cycle + extra)
         analysis = _analyze(graph)
         if not analysis.strong:
             raise GenerationError("the spanning cycle left the graph not strongly connected")

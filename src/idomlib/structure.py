@@ -152,8 +152,10 @@ def condensation(graph: Digraph) -> Condensation:
 
 class _Analysis:
     """One structure pass over a graph: the period of every component (0
-    for a single vertex) and the BFS level of every vertex (-1 outside a
-    nontrivial component). SCCs, layers and condensation are built on read."""
+    for a single vertex) and the BFS level of every vertex from its
+    component's lowest vertex, -1 throughout an acyclic graph and 0 on a
+    single-vertex component of a cyclic one; ``level`` is read only on
+    strongly connected graphs. SCCs, layers and condensation are built on read."""
 
     def __init__(
         self,
@@ -226,9 +228,8 @@ def _analyze(graph: Digraph) -> _Analysis:
     """Periods and BFS levels, O(n + m). A graph with a source and a sink,
     as every nonempty acyclic graph has, is peeled first; if that removes
     every vertex, it is acyclic and no SCCs are computed. Otherwise one
-    ``sccs`` call, then one BFS per nontrivial component from its lowest
-    vertex: a component's period is the gcd over its arcs (u, v) of
-    level(u)+1-level(v)."""
+    ``sccs`` call, then a single vertex gets level 0 and each nontrivial
+    component one ``_bfs_period`` from its lowest vertex, sinks first."""
     out_adj, in_adj = graph.out_adj, graph.in_adj
     level = [-1] * graph.n
     if not all(in_adj) and not all(out_adj) and _acyclic(out_adj, in_adj):
@@ -236,43 +237,29 @@ def _analyze(graph: Digraph) -> _Analysis:
     s = sccs(graph)
     label = s.component_of
     periods = []
-    if len(s.components) == 1:  # one BFS over every arc, no component test
-        periods.append(_strong_bfs(out_adj, level) if graph.n >= 2 else 0)
-    else:
-        for c, comp in enumerate(s.components):
-            h = 0
-            if len(comp) >= 2:  # some arc closes a cycle, so h >= 1
-                level[comp[0]] = 0
-                queue = [comp[0]]
-                for u in queue:  # appended to as it is walked: breadth first
-                    next_level = level[u] + 1
-                    for v in out_adj[u]:
-                        if label[v] != c:
-                            continue
-                        lv = level[v]
-                        if lv < 0:
-                            level[v] = next_level
-                            queue.append(v)
-                        elif lv != next_level:  # a difference of 0 adds nothing
-                            h = gcd(h, next_level - lv)
-            periods.append(h)
+    for c, comp in enumerate(s.components):
+        level[comp[0]] = 0
+        periods.append(_bfs_period(out_adj, label, c, comp[0], level) if len(comp) > 1 else 0)
     return _Analysis(graph, tuple(periods), level, s)
 
 
-def _strong_bfs(out_adj: tuple[tuple[int, ...], ...], level: list[int]) -> int:
-    """The BFS of ``_analyze`` from vertex 0 of a strongly connected graph
-    with an arc, where every arc is inside the one component."""
+def _bfs_period(
+    out_adj: tuple[tuple[int, ...], ...], label: tuple[int, ...], c: int, root: int,
+    level: list[int],
+) -> int:
+    """BFS levels of component ``c`` from ``root`` (level 0) and its period,
+    the gcd over its arcs (u, v) of level(u)+1-level(v). An arc leaving ``c``
+    ends in a component levelled before it, so only non-tree arcs are tested."""
     h = 0
-    level[0] = 0
-    queue = [0]
-    for u in queue:
+    queue = [root]
+    for u in queue:  # appended to as it is walked: breadth first
         next_level = level[u] + 1
         for v in out_adj[u]:
             lv = level[v]
             if lv < 0:
                 level[v] = next_level
                 queue.append(v)
-            elif lv != next_level:
+            elif lv != next_level and label[v] == c:  # a difference of 0 adds nothing
                 h = gcd(h, next_level - lv)
     return h
 
@@ -311,11 +298,8 @@ def layer_decomposition(graph: Digraph) -> LayerDecomposition:
     """
     analysis = _analyze(graph)
     h = analysis.strong_period()
-    layer_of = [0] * graph.n
-    for i, layer in enumerate(analysis.layers):
-        for v in layer:
-            layer_of[v] = i
-    return LayerDecomposition(h, tuple(layer_of), tuple(map(frozenset, analysis.layers)))
+    layer_of = tuple(lv % h for lv in analysis.level)
+    return LayerDecomposition(h, layer_of, tuple(map(frozenset, analysis.layers)))
 
 
 def cycle_gcd_oracle(graph: Digraph, max_n: int = 12) -> int:

@@ -325,6 +325,18 @@ class TestRandomGenerators:
         with pytest.raises(GenerationError, match="could not hit"):
             random_layered_strong(2, 2, 0.0, seed=1)
 
+    def test_bare_spanning_cycles_are_not_analysed(self, monkeypatch):
+        # a sample with no extra arc is the spanning cycle, of period h*size
+        calls = []
+        analyze = generators._analyze
+        monkeypatch.setattr(generators, "_analyze", lambda g: calls.append(g) or analyze(g))
+        with pytest.raises(GenerationError, match="could not hit"):
+            random_layered_strong(3, 2, 0.0, seed=1)
+        assert calls == []
+        # with one vertex per layer the spanning cycle has period h
+        assert random_layered_strong(3, 1, 0.0, seed=1) == gen_cycle(3)
+        assert len(calls) == 1
+
     def test_double_loop_verifiers_agree_on_random_instances(self):
         for seed in range(10):
             g = random_digraph(7, 0.3, seed=8800 + seed)
@@ -504,11 +516,11 @@ class TestSizeCaps:
         assert time.perf_counter() - start < 1
 
     def test_pair_cap_boundary(self):
-        assert _seeded(1, _MAX_PAIRS, 0.5, 1).getstate() == random.Random(1).getstate()
+        assert _seeded(1, _MAX_PAIRS, 0.5, 1, sample=0).getstate() == random.Random(1).getstate()
         with pytest.raises(ValueError, match="pair tests exceed"):
-            _seeded(1, _MAX_PAIRS + 1, 0.5, 1)
+            _seeded(1, _MAX_PAIRS + 1, 0.5, 1, sample=0)
         # random_digraph(8000, .) stays legal
-        _seeded(8000, 8000 * 7999, 3 / 8000, 1)
+        _seeded(8000, 8000 * 7999, 3 / 8000, 1, 8000 * 7999)
 
     @pytest.mark.parametrize(
         "build, arcs",

@@ -14,6 +14,7 @@ from idomlib import (
     gen_path,
     gen_paw,
     gen_wheel,
+    induced_subgraph,
     is_strongly_connected,
     layer_decomposition,
     period,
@@ -376,3 +377,53 @@ def test_peel_recognises_exactly_the_acyclic_graphs():
     assert len(verdicts) >= 3000
     assert all(peel == tarjan for peel, tarjan in verdicts)
     assert sum(peel for peel, _ in verdicts) == 2403  # both verdicts are common
+
+
+def _cycle_path_cycle(a, path_len, b):
+    # C_a on 0..a-1 feeds a path of path_len vertices into C_b, enters C_b
+    # a second time by a direct arc, and feeds a sink vertex: the upstream
+    # BFS meets a levelled cycle at two depths and a levelled single vertex
+    c = a + path_len  # the first vertex of C_b
+    sink = c + b
+    arcs = [(i, (i + 1) % a) for i in range(a)]
+    arcs += [(i, i + 1) for i in range(a, c - 1)]
+    arcs += [(0, a), (c - 1, c)] if path_len else [(0, c)]
+    arcs += [(c + i, c + (i + 1) % b) for i in range(b)]
+    arcs += [(a - 1, c + b - 1), (a - 1, sink)]
+    return Digraph(sink + 1, arcs)
+
+
+def _component_period_corpus():
+    graphs = [
+        random_digraph(1 + seed % 12, (0.08, 0.15, 0.25, 0.4)[seed % 4], 4000 + seed)
+        for seed in range(400)
+    ]
+    for a, b in ((2, 2), (3, 4), (5, 3), (4, 6)):
+        graphs += [_joined_cycles(a, b, True), _joined_cycles(a, b, False)]
+    for pairs in (2, 3, 6):
+        graphs += [antiparallel_chain(pairs), _reversed_pair_chain(pairs)]
+    graphs += [
+        _cycle_path_cycle(a, path_len, b)
+        for a in (2, 3, 4)
+        for path_len in (0, 1, 3)
+        for b in (2, 3, 5)
+    ]
+    return graphs
+
+
+def test_component_periods_match_the_oracle():
+    # each component's period is that of its own induced subgraph, or 0
+    # (and level 0, when the graph has a cycle) for a single vertex, on
+    # graphs where one component's BFS runs into components levelled before it
+    multi = 0
+    for g in _component_period_corpus():
+        analysis = _analyze(g)
+        components = analysis.scc.components
+        assert len(analysis.periods) == len(components)
+        multi += sum(len(c) > 1 for c in components) > 1
+        for comp, h in zip(components, analysis.periods):
+            expected = cycle_gcd_oracle(induced_subgraph(g, comp).graph) if len(comp) > 1 else 0
+            assert h == expected, (g, comp)
+            if len(comp) == 1 and analysis.period:
+                assert analysis.level[comp[0]] == 0
+    assert multi >= 40
