@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import ast
+import hashlib
 import textwrap
 import time
 import tracemalloc
@@ -445,6 +446,62 @@ class TestBudget:
         assert solve_strong_by_layers(gen_cycle(4), budget=0).found
         with pytest.raises(BudgetExceeded):  # legal, but a subset costs one
             brute_force_solve(Digraph(0), budget=0)
+
+
+def _search_corpus(family):
+    if family == "dhk":
+        return [
+            gen_dhk(DhkSpec(h, k, variant)).graph
+            for h in (3, 5, 7)
+            for k in range(3, 7)
+            for variant in ("ids_free", "with_ids")
+        ]
+    if family == "torus":
+        return [cartesian_product(gen_cycle(k), gen_cycle(k)) for k in range(3, 22, 2)]
+    if family == "random":
+        return [
+            random_digraph(1 + seed % 60, (0.02, 0.05, 0.1, 0.2, 0.4)[seed % 5], seed)
+            for seed in range(300)
+        ]
+    if family == "layered":
+        return [random_layered_strong(3, 13, 0.3, seed) for seed in range(12)]
+    if family == "wheel-paw":
+        return [cartesian_product(gen_wheel(n), gen_paw()) for n in range(3, 10)]
+    return [
+        gen_cycle(5),
+        cartesian_product(gen_cycle(7), gen_cycle(7)),
+        cartesian_product(gen_cycle(21), gen_cycle(21)),
+        gen_dhk(DhkSpec(5, 6)).graph,
+        gen_cycle(1001),
+        gen_dhk(DhkSpec(7, 7, "ids_free")).graph,
+    ]
+
+
+@pytest.mark.parametrize(
+    "family, digest",
+    [
+        ("dhk", "6fd11ef33addf783"),
+        ("torus", "fddce579f5da7915"),
+        ("random", "3eebc81d995ca0a3"),
+        ("layered", "486dd92f8abf52cc"),
+        ("wheel-paw", "a4cbbf7e01e2d4d5"),
+        ("budget", "8048c862f2a7da52"),
+    ],
+)
+def test_search_output_is_pinned(family, digest):
+    # the status, set, method and search counters of both solvers, as the
+    # search gave them before its propagation left the driver; a reshaped
+    # search must reproduce them exactly
+    h = hashlib.sha256()
+    for g in _search_corpus(family):
+        for solve in (solve_auto, solve_exact):
+            o = solve(g)
+            s = o.stats
+            h.update(repr((
+                o.status, sorted(o.set or ()), o.method,
+                s.seeds_explored, s.budget_used, s.recursion_depth,
+            )).encode())
+    assert h.hexdigest()[:16] == digest
 
 
 class TestSolveExact:
