@@ -316,12 +316,25 @@ def random_dag(n: int, arc_prob: float, seed: int) -> Digraph:
 
 def random_digraph(n: int, arc_prob: float, seed: int) -> Digraph:
     """Each ordered pair becomes an arc independently; the pairs u != v are
-    tested in lexicographic order."""
+    tested in lexicographic order, so row u holds the pair indices from
+    u * (n - 1) up to (u + 1) * (n - 1)."""
     if n < 1:
         raise ValueError("n must be positive")
     pairs = n * (n - 1)
-    hits = _hits(_seeded(n, pairs, arc_prob, seed, pairs), pairs, arc_prob)
-    return Digraph(n, [(u, r + (r >= u)) for u, r in map(divmod, hits, repeat(n - 1))])
+    hits = list(_hits(_seeded(n, pairs, arc_prob, seed, pairs), pairs, arc_prob))
+
+    def rows() -> Iterator[list[tuple[int, int]]]:
+        # the arcs of one row at a time, built as the graph reads them;
+        # pair t of row u goes to t - base, or one further past u itself
+        lo = 0
+        for u in range(n):
+            base = u * (n - 1)
+            hi = bisect(hits, base + n - 2, lo)
+            cut = base + u
+            yield [(u, t - base + (t >= cut)) for t in hits[lo:hi]]
+            lo = hi
+
+    return Digraph(n, chain.from_iterable(rows()))
 
 
 def random_oriented_bipartite(a: int, b: int, arc_prob: float, seed: int) -> Digraph:
@@ -348,7 +361,8 @@ def random_layered_strong(h: int, layer_size: int, arc_prob: float, seed: int) -
     sample tests the pairs (vertex j of layer i, vertex j2 of layer i + 1)
     in lexicographic order of (i, j, j2). With more than one vertex a layer,
     a sample that adds no arc is the bare cycle, of period h * layer_size,
-    and is skipped unbuilt."""
+    and is skipped unbuilt; with ``arc_prob`` 0 every sample is, so the call
+    gives up before drawing any."""
     if h < 1 or layer_size < 1:
         raise ValueError("h and layer_size must be positive")
     if h == 1:
@@ -363,7 +377,7 @@ def random_layered_strong(h: int, layer_size: int, arc_prob: float, seed: int) -
         for j in range(s):
             target = (j + 1) % s if i == 0 else j
             cycle.append((vertex(i, j), vertex(nxt, target)))
-    for _ in range(_MAX_ATTEMPTS):
+    for _ in range(_MAX_ATTEMPTS if arc_prob or s == 1 else 0):
         # pair t joins vertex t // s, in layer t // s^2, to vertex t % s of
         # the next layer
         hits = _hits(rng, pairs, arc_prob)

@@ -337,6 +337,15 @@ class TestRandomGenerators:
         assert random_layered_strong(3, 1, 0.0, seed=1) == gen_cycle(3)
         assert len(calls) == 1
 
+    def test_no_arc_samples_are_not_drawn(self, monkeypatch):
+        # with arc_prob 0 and more than one vertex a layer, every sample is
+        # the bare spanning cycle: the call gives up before its first draw
+        calls = []
+        monkeypatch.setattr(generators, "_hits", lambda *args: calls.append(args) or iter(()))
+        with pytest.raises(GenerationError, match="could not hit period 40 in 64 attempts"):
+            random_layered_strong(40, 150, 0.0, 1)
+        assert calls == []
+
     def test_double_loop_verifiers_agree_on_random_instances(self):
         for seed in range(10):
             g = random_digraph(7, 0.3, seed=8800 + seed)
@@ -415,6 +424,16 @@ class TestBulkDraws:
                         assert build(n, p, seed) == graph, (build.__name__, n, p, seed)
                         assert streams[-1].getstate() == rng.getstate()
 
+    def test_dense_rows_match_per_call_reference(self, streams):
+        # every row holds hits, and at p = 1 each one also hits the pairs
+        # on both sides of the diagonal
+        for n in (2, 3, 17, 64):
+            for p in (0.5, 1.0):
+                for seed in range(3):
+                    graph, rng = random_digraph_by_calls(n, p, seed)
+                    assert random_digraph(n, p, seed) == graph, (n, p, seed)
+                    assert streams[-1].getstate() == rng.getstate()
+
     def test_layered_matches_per_call_reference(self, streams):
         for h, size in ((2, 2), (3, 3), (4, 5), (3, 13)):
             for p in (0.3, 0.5, 2 / size, 1 / 256, 255 / 256, 1):
@@ -437,7 +456,6 @@ class TestBulkDraws:
         assert graph is None
         with pytest.raises(GenerationError, match="could not hit"):
             random_layered_strong(2, 2, 0.0, 1)
-        assert streams[-1].getstate() == rng.getstate()
 
     def test_scale_ladder_instances_match(self, streams):
         for n in (250, 500, 1000):
