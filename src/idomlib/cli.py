@@ -258,7 +258,8 @@ def cmd_brute(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(families: bool) -> argparse.ArgumentParser:
+    """The `idom` parser; the `gen` family parsers only when ``families``."""
     parser = argparse.ArgumentParser(
         prog="idom",
         description="Independent dominating sets in directed graphs.",
@@ -288,11 +289,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="emit a generated graph as an arc list")
-    fam = p.add_subparsers(dest="family", required=True)
-    for family, (params, _) in _FAMILIES.items():
-        q = fam.add_parser(family)
-        for name, kind in params.items():
-            q.add_argument(name, **(kind if name.startswith("--") else {"type": kind}))
+    if families:
+        fam = p.add_subparsers(dest="family", required=True)
+        for family, (params, _) in _FAMILIES.items():
+            q = fam.add_parser(family)
+            for name, kind in params.items():
+                q.add_argument(name, **(kind if name.startswith("--") else {"type": kind}))
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("brute", help="exhaustive oracle values")
@@ -306,8 +308,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # 11 of the parsers serve only `idom gen`: the other commands skip them
+    args = _build_parser("gen" in argv).parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, GenerationError, ValueError) as exc:

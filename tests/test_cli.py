@@ -637,6 +637,18 @@ class TestStartPath:
         assert json.loads(result.stdout) == {"period": 4, "sccs": 1, "layers": [1, 1, 1, 1]}
 
 
+    def test_only_gen_builds_the_family_parsers(self, capsys, monkeypatch, write_graph):
+        made = []
+        parser = idomlib.cli.argparse.ArgumentParser
+        init = parser.__init__
+        monkeypatch.setattr(parser, "__init__", lambda *a, **kw: made.append(a) or init(*a, **kw))
+        assert run(capsys, "solve", write_graph(gen_cycle(3)))[0] == 0
+        assert len(made) == 6  # idom and its five commands
+        made.clear()
+        assert run(capsys, "gen", "cycle", "3")[0] == 0
+        assert len(made) == 6 + len(idomlib.cli._FAMILIES)
+
+
 class TestReadme:
     """The CLI section of README.md lists what ``idom`` accepts."""
 
