@@ -636,7 +636,6 @@ class TestStartPath:
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout) == {"period": 4, "sccs": 1, "layers": [1, 1, 1, 1]}
 
-
     def test_only_gen_builds_the_family_parsers(self, capsys, monkeypatch, write_graph):
         made = []
         parser = idomlib.cli.argparse.ArgumentParser
