@@ -231,6 +231,22 @@ def _ints(text: str, tokens: Iterable[str]) -> Iterator[int]:
     return map(int, tokens)
 
 
+# A parse splits about this many characters into lines at a time, so it
+# holds one slice's lines, not a list of every line of the document.
+_LINE_CHUNK = 4096
+
+
+def _lines(text: str) -> Iterator[str]:
+    """``text.splitlines()``, a slice at a time. Each slice ends just after
+    a ``\\n``, which ends a line alone or after ``\\r``, so the lines of the
+    slices are the lines of the text."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _LINE_CHUNK) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
 class ParsedArcList(NamedTuple):
     graph: Digraph
     duplicate_arcs: int
@@ -247,7 +263,7 @@ def parse_digraph(text: str) -> ParsedArcList:
     """
     data = (
         (lineno, stripped)
-        for lineno, raw in enumerate(text.splitlines(), 1)
+        for lineno, raw in enumerate(_lines(text), 1)
         if (stripped := raw.strip()) and not stripped.startswith("#")
     )
     header_line, header = next(data, (0, ""))

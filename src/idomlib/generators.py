@@ -306,12 +306,20 @@ def random_dag(n: int, arc_prob: float, seed: int) -> Digraph:
     rng = _seeded(n, pairs, arc_prob, seed, pairs)
     order = list(range(n))
     rng.shuffle(order)
-    first = list(accumulate(range(n - 1, 0, -1), initial=0))  # pair index of (i, i + 1)
-    arcs = []
-    for t in _hits(rng, first[-1], arc_prob):
-        i = bisect(first, t) - 1
-        arcs.append((order[i], order[i + 1 + t - first[i]]))
-    return Digraph(n, arcs)
+    hits = list(_hits(rng, pairs, arc_prob))
+
+    def rows() -> Iterator[list[tuple[int, int]]]:
+        # the arcs of one row at a time, built as the graph reads them;
+        # row i holds the pair indices from first to first + n - i - 2,
+        # and pair t of row i goes to position t - first + i + 1
+        lo = first = 0
+        for i in range(n - 1):
+            hi = bisect(hits, first + n - i - 2, lo)
+            u, shift = order[i], first - i - 1
+            yield [(u, order[t - shift]) for t in hits[lo:hi]]
+            lo, first = hi, first + n - i - 1
+
+    return Digraph(n, chain.from_iterable(rows()))
 
 
 def random_digraph(n: int, arc_prob: float, seed: int) -> Digraph:

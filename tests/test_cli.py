@@ -1,9 +1,11 @@
+import glob
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -646,6 +648,24 @@ class TestStartPath:
         made.clear()
         assert run(capsys, "gen", "cycle", "3")[0] == 0
         assert len(made) == 6 + len(idomlib.cli._FAMILIES)
+
+    def test_no_module_compiles_past_the_peak_bound(self):
+        # without cached bytecode an idom child compiles the package from
+        # source, and its RSS peak follows the largest single compile
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for path in sorted(glob.glob(os.path.join(self.SRC, "idomlib", "*.py"))):
+                with open(path, encoding="utf-8") as fh:
+                    source = fh.read()
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                compile(source, path, "exec")
+                peaks[os.path.basename(path)] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert "solvers.py" in peaks
+        assert max(peaks.values()) <= 1.5 * 2**20, peaks
 
 
 class TestReadme:

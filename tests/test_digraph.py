@@ -4,7 +4,9 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import idomlib.digraph
 from idomlib import (
     Digraph,
     ParseError,
@@ -22,6 +24,7 @@ from idomlib import (
     random_digraph,
     solve_auto,
 )
+from idomlib.digraph import _lines
 
 from helpers import (
     digraphs_with_subset,
@@ -146,6 +149,29 @@ class TestParse:
     @given(messy_arc_documents())
     def test_agrees_with_line_by_line_parser(self, text):
         assert parse_outcome(parse_digraph, text) == parse_outcome(parse_by_lines, text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(messy_arc_documents(), st.integers(0, 16))
+    def test_short_slices_agree_with_line_by_line_parser(self, text, chunk):
+        # slices of a few characters end beside every kind of separator
+        saved, idomlib.digraph._LINE_CHUNK = idomlib.digraph._LINE_CHUNK, chunk
+        try:
+            assert list(_lines(text)) == text.splitlines()
+            assert parse_outcome(parse_digraph, text) == parse_outcome(parse_by_lines, text)
+        finally:
+            idomlib.digraph._LINE_CHUNK = saved
+
+    def test_lines_are_split_a_slice_at_a_time(self):
+        # splitlines would hold all 20,001 lines at once, about 1.3 MiB
+        text = format_arc_list(cartesian_product(gen_cycle(100), gen_cycle(100)))
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in _lines(text))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 20_001
+        assert peak < 2**18
 
     def test_parse_memory_is_one_adjacency_copy(self):
         # C_100 x C_100: 20,000 arc lines. Lists of the data lines and of

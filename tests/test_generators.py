@@ -434,6 +434,16 @@ class TestBulkDraws:
                     assert random_digraph(n, p, seed) == graph, (n, p, seed)
                     assert streams[-1].getstate() == rng.getstate()
 
+    def test_dense_dag_rows_match_per_call_reference(self, streams):
+        # the rows of the order shorten by one each; at p = 1 every row
+        # but the last, which holds no pair, is full
+        for n in (2, 3, 17, 64):
+            for p in (0.5, 1.0):
+                for seed in range(3):
+                    graph, rng = random_dag_by_calls(n, p, seed)
+                    assert random_dag(n, p, seed) == graph, (n, p, seed)
+                    assert streams[-1].getstate() == rng.getstate()
+
     def test_layered_matches_per_call_reference(self, streams):
         for h, size in ((2, 2), (3, 3), (4, 5), (3, 13)):
             for p in (0.3, 0.5, 2 / size, 1 / 256, 255 / 256, 1):
