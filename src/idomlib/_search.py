@@ -144,7 +144,11 @@ def _exact(
     trail: list[int] = []
     stats = search.stats
     if not _assign(out_adj, in_adj, state, dom, cand, trail, [v for v in range(n) if not cand[v]]):
-        return None
+        # the source closure cannot conflict: a vertex goes in only once all
+        # its in-neighbors are out, and each out vertex is dominated
+        from .solvers import InternalError  # solvers imports this module
+
+        raise InternalError("the source closure reached a conflict")
     cursor, level = len(comps) - 1, 0
     # entry: (literal, trail length, cursor, decision level); the out
     # alternative is pushed first, so the in alternative is tried first

@@ -22,7 +22,6 @@ from .digraph import (
 )
 from .generators import (
     DhkSpec,
-    GenerationError,
     UndirectedGraph,
     cartesian_product,
     double_edges,
@@ -314,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser("gen" in argv).parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, GenerationError, ValueError) as exc:
+    except ValueError as exc:  # ParseError and GenerationError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (BudgetExceeded, CapExceeded) as exc:

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect
 from itertools import accumulate, chain, repeat
 from operator import add
 from typing import Iterable, Iterator, NamedTuple
@@ -306,20 +305,18 @@ def random_dag(n: int, arc_prob: float, seed: int) -> Digraph:
     rng = _seeded(n, pairs, arc_prob, seed, pairs)
     order = list(range(n))
     rng.shuffle(order)
-    hits = list(_hits(rng, pairs, arc_prob))
 
-    def rows() -> Iterator[list[tuple[int, int]]]:
-        # the arcs of one row at a time, built as the graph reads them;
-        # row i holds the pair indices from first to first + n - i - 2,
-        # and pair t of row i goes to position t - first + i + 1
-        lo = first = 0
-        for i in range(n - 1):
-            hi = bisect(hits, first + n - i - 2, lo)
-            u, shift = order[i], first - i - 1
-            yield [(u, order[t - shift]) for t in hits[lo:hi]]
-            lo, first = hi, first + n - i - 1
+    def arcs() -> Iterator[tuple[int, int]]:
+        # row i holds the pair indices up to end - 1, the last n - 1 - i of
+        # them, and pair t of row i goes to position t - end + n
+        i, end = 0, n - 1
+        for t in _hits(rng, pairs, arc_prob):
+            while t >= end:
+                i += 1
+                end += n - 1 - i
+            yield order[i], order[t - end + n]
 
-    return Digraph(n, chain.from_iterable(rows()))
+    return Digraph(n, arcs())
 
 
 def random_digraph(n: int, arc_prob: float, seed: int) -> Digraph:
@@ -329,20 +326,9 @@ def random_digraph(n: int, arc_prob: float, seed: int) -> Digraph:
     if n < 1:
         raise ValueError("n must be positive")
     pairs = n * (n - 1)
-    hits = list(_hits(_seeded(n, pairs, arc_prob, seed, pairs), pairs, arc_prob))
-
-    def rows() -> Iterator[list[tuple[int, int]]]:
-        # the arcs of one row at a time, built as the graph reads them;
-        # pair t of row u goes to t - base, or one further past u itself
-        lo = 0
-        for u in range(n):
-            base = u * (n - 1)
-            hi = bisect(hits, base + n - 2, lo)
-            cut = base + u
-            yield [(u, t - base + (t >= cut)) for t in hits[lo:hi]]
-            lo = hi
-
-    return Digraph(n, chain.from_iterable(rows()))
+    hits = _hits(_seeded(n, pairs, arc_prob, seed, pairs), pairs, arc_prob)
+    # pair j of row u goes to vertex j, or one further past u itself
+    return Digraph(n, ((u, j + (j >= u)) for u, j in map(divmod, hits, repeat(n - 1))))
 
 
 def random_oriented_bipartite(a: int, b: int, arc_prob: float, seed: int) -> Digraph:

@@ -13,6 +13,7 @@ from idomlib import (
     cartesian_product,
     format_arc_list,
     gen_cycle,
+    gen_path,
     gen_paw,
     gen_wheel,
     induced_subgraph,
@@ -54,6 +55,14 @@ class TestDigraph:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             Digraph(2, [(0, 2)])
+
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="vertex count must be non-negative"):
+            Digraph(-1)
+
+    def test_never_equals_a_non_digraph(self):
+        assert not gen_path(2) == "x"
+        assert gen_path(2) != "x"
 
     def test_collapses_duplicates(self):
         g = Digraph(2, [(0, 1), (0, 1)])

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 import types
 
 import pytest
@@ -63,6 +64,10 @@ class TestBasicFamilies:
         assert gen_path(1).m == 0
         assert period(gen_path(3)) == 0
         assert solve_dag(gen_path(5)).set == {0, 2, 4}
+
+    def test_path_needs_a_vertex(self):
+        with pytest.raises(ValueError, match="path needs at least 1 vertex"):
+            gen_path(0)
 
     def test_wheel(self):
         w3 = gen_wheel(3)
@@ -206,6 +211,14 @@ class TestDoubleEdges:
     def test_empty(self):
         assert double_edges(UndirectedGraph.from_edges(3, [])).m == 0
 
+    def test_rejects_self_loop(self):
+        with pytest.raises(ValueError, match=r"self-loop \(1, 1\) is not allowed"):
+            UndirectedGraph.from_edges(3, [(0, 1), (1, 1)])
+
+    def test_rejects_out_of_range(self):
+        with pytest.raises(ValueError, match=r"edge \(0, 3\) out of range for n=3"):
+            UndirectedGraph.from_edges(3, [(0, 3)])
+
     def test_preserves_independence_and_domination(self):
         import random
 
@@ -301,6 +314,21 @@ class TestRandomGenerators:
         for build in builds:
             with pytest.raises(ValueError, match=r"arc probability must be in \[0, 1\]"):
                 build()
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: random_dag(0, 0.5, 1), "n must be positive"),
+            (lambda: random_digraph(0, 0.5, 1), "n must be positive"),
+            (lambda: random_oriented_bipartite(0, 2, 0.5, 1), "both parts must be nonempty"),
+            (lambda: random_layered_strong(0, 2, 0.5, 1), "h and layer_size must be positive"),
+            (lambda: random_layered_strong(1, 3, 0.5, 1), "layers need h >= 2"),
+        ],
+        ids=["dag", "digraph", "bipartite", "layered-h0", "layered-h1"],
+    )
+    def test_rejects_empty_shapes(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
     def test_dag_is_acyclic(self):
         for seed in range(20):
@@ -477,6 +505,22 @@ class TestBulkDraws:
                 graph, rng, _ = random_layered_strong_by_calls(4, size, 2 / size, seed)
                 assert random_layered_strong(4, size, 2 / size, seed) == graph
                 assert streams[-1].getstate() == rng.getstate()
+
+    @pytest.mark.parametrize(
+        "build", [lambda: random_digraph(400, 0.5, 1), lambda: random_dag(600, 0.5, 3)],
+        ids=["digraph", "dag"],
+    )
+    def test_dense_builds_hold_one_chunk_of_hits(self, build):
+        # the hits are mapped as _hits yields them, so a build holds one
+        # chunk of hits, not all of them: a list of every hit took 6.5 MiB
+        tracemalloc.start()
+        try:
+            graph = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.m > 75_000
+        assert peak < 4.5 * 2**20
 
     def test_chunk_boundaries_split_no_pair(self, monkeypatch, streams):
         # chunks of 1, 7 and 8 draws: every hit and tie may sit at an edge

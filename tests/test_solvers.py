@@ -12,6 +12,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import idomlib._search
 import idomlib.solvers
 import idomlib.structure
 from idomlib import (
@@ -19,6 +20,7 @@ from idomlib import (
     CapExceeded,
     Digraph,
     DhkSpec,
+    InternalError,
     UndirectedGraph,
     brute_force_solve,
     cartesian_product,
@@ -150,6 +152,10 @@ class TestTwoDisjointIds:
         assert evens == frozenset(range(0, n, 2))
         assert odds == frozenset(range(1, n, 2))
 
+    def test_rejects_empty_graph(self):
+        with pytest.raises(ValueError, match="empty graph has no period"):
+            two_disjoint_ids(Digraph(0))
+
     def test_doubled_square(self):
         square = UndirectedGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         g = double_edges(square)
@@ -239,6 +245,11 @@ class TestPropagateLayerSeed:
         for g, other in [(gen_cycle(3), gen_cycle(5)), (gen_cycle(6), gen_cycle(3))]:
             with pytest.raises(ValueError, match="do not cover"):
                 propagate_layer_seed(g, layer_decomposition(other), 0, {0})
+
+    def test_rejects_layer_index_out_of_range(self):
+        c3 = gen_cycle(3)
+        with pytest.raises(ValueError, match="layer index 3 out of range for h=3"):
+            propagate_layer_seed(c3, layer_decomposition(c3), 3, {0})
 
     def test_rejects_arcs_against_the_layers(self):
         # the reversed 6-cycle has C_6's vertex layers, but its arcs go back
@@ -531,6 +542,22 @@ class TestSolveExact:
     def test_budget_exhaustion_raises(self):
         with pytest.raises(BudgetExceeded):
             solve_exact(gen_cycle(5), budget=1)
+
+    def test_root_conflict_is_an_internal_error(self, monkeypatch):
+        # the root propagation is the source closure, which cannot conflict:
+        # a conflict there is a bug, never a "none"
+        assign = idomlib._search._assign
+        calls = []
+
+        def fail_first(*args):
+            calls.append(None)
+            return len(calls) > 1 and assign(*args)
+
+        monkeypatch.setattr(idomlib._search, "_assign", fail_first)
+        for solve in (solve_exact, solve_auto):
+            calls.clear()
+            with pytest.raises(InternalError, match="source closure"):
+                solve(gen_cycle(3))
 
     def test_set_follows_the_component_order(self):
         # the 2-cycles {0, 1} and {2, 3} are incomparable; the search branches

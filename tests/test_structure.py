@@ -137,6 +137,10 @@ class TestSccPeriod:
         with pytest.raises(ValueError, match="no directed cycle"):
             scc_period(Digraph(1))
 
+    def test_rejects_empty_graph(self):
+        with pytest.raises(ValueError, match="empty graph has no period"):
+            scc_period(Digraph(0))
+
     def test_matches_oracle_on_strong_samples(self):
         for g in strongly_connected_samples(40):
             assert scc_period(g) == cycle_gcd_oracle(g)
