@@ -515,6 +515,69 @@ def test_search_output_is_pinned(family, digest):
     assert h.hexdigest()[:16] == digest
 
 
+def _layer_corpus(family):
+    if family == "layered":
+        return [
+            random_layered_strong(h, size, 0.4, seed)
+            for h in range(2, 8)
+            for size in range(1, 6)
+            for seed in range(3)
+        ]
+    if family == "torus":
+        return [cartesian_product(gen_cycle(k), gen_cycle(k)) for k in range(2, 12)]
+    if family == "cycle":
+        return [gen_cycle(n) for n in range(2, 31)]
+    return [
+        gen_dhk(DhkSpec(h, k, variant)).graph
+        for h in (3, 5, 7)
+        for k in (3, 4, 5)
+        for variant in ("ids_free", "with_ids")
+    ]
+
+
+def _outcome_or_error(call, *args):
+    try:
+        return call(*args)
+    except ValueError as error:
+        return repr(error)
+
+
+@pytest.mark.parametrize(
+    "family, digest",
+    [
+        ("layered", "098f50361b2b94eb"),
+        ("torus", "f026f8b2a471685d"),
+        ("cycle", "20a9497442282586"),
+        ("dhk", "2d3806d75ce0b642"),
+    ],
+)
+def test_layer_output_is_pinned(family, digest):
+    # the layer solvers' answers and counters, the propagation of the first
+    # 16 seeds of every layer, the even/odd split and the layers themselves;
+    # a regrouped layer map must reproduce them exactly
+    h = hashlib.sha256()
+    for g in _layer_corpus(family):
+        o = solve_strong_by_layers(g)
+        s = o.stats
+        h.update(repr((
+            o.status, sorted(o.set or ()), o.method,
+            s.seeds_explored, s.budget_used, s.recursion_depth,
+        )).encode())
+        layers = layer_decomposition(g)
+        h.update(repr((layers.h, layers.layer_of, [sorted(x) for x in layers.layers])).encode())
+        for k in range(layers.h):
+            members = sorted(layers.layers[k])
+            for bits in range(min(16, 1 << len(members))):
+                seed = {members[j] for j in range(len(members)) if bits >> j & 1}
+                r = propagate_layer_seed(g, layers, k, seed)
+                h.update(repr((r.consistent, sorted(r.union or ()), r.failed_step)).encode())
+        pair = _outcome_or_error(two_disjoint_ids, g)
+        h.update(repr(pair if isinstance(pair, str) else [sorted(x) for x in pair]).encode())
+        even = _outcome_or_error(solve_even_period, g)
+        h.update(repr(even if isinstance(even, str) else (even.status, sorted(even.set))).encode())
+    assert h.hexdigest()[:16] == digest
+
+
 class TestSolveExact:
     def test_wheel_times_paw_has_none(self):
         g = cartesian_product(gen_wheel(3), gen_paw())
