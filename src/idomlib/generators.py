@@ -173,8 +173,7 @@ def gen_dhk(spec: DhkSpec, strict: bool = True) -> DhkGraph:
     if strict and not (connected and realized == h):
         raise GenerationError(
             f"D_({h},{k}) [{spec.variant}] degenerated: "
-            f"strongly_connected={connected}, period={realized}; "
-            "pass strict=False to accept the instance as constructed"
+            f"strongly_connected={connected}, period={realized}"
         )
     return result
 

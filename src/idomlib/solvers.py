@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from ._search import _exact
 from .digraph import Digraph, _Record, induced_subgraph, is_ids
-from .structure import LayerDecomposition, _analyze, _Analysis, is_strongly_connected, sccs
+from .structure import LayerDecomposition, _analyze, _Analysis, _buckets, is_strongly_connected, sccs
 
 __all__ = [
     "BudgetExceeded",
@@ -232,17 +232,14 @@ def solve_dag(graph: Digraph) -> SolveOutcome:
     return _solve_dag(graph, _analyze(graph), search)
 
 
-def _even_odd(analysis: _Analysis) -> tuple[list[int], list[int]]:
+def _even_odd(analysis: _Analysis) -> list[list[int]]:
     """Even-layer and odd-layer unions of an even-period strongly connected
     graph: with h even, layer ``level mod h`` is even exactly when the
     level is, so the unions come from level parity, without the layers."""
     h = analysis.strong_period()
     if h % 2 == 1:
         raise ValueError(f"period {h} is odd")
-    sides: tuple[list[int], list[int]] = ([], [])
-    for v, lv in enumerate(analysis.level):
-        sides[lv & 1].append(v)
-    return sides
+    return _buckets(analysis.level, 2)
 
 
 def _solve_even_period(graph: Digraph, analysis: _Analysis, search: _Search) -> SolveOutcome:
@@ -300,20 +297,21 @@ def solve_bipartite(graph: Digraph) -> SolveOutcome:
 def _step_masks(
     out_adj: tuple[tuple[int, ...], ...], layers: Sequence[Sequence[int]]
 ) -> list[list[int]]:
-    """For member j of layer i (layers list their members ascending), its
-    out-neighbors in layer i+1 mod h as a bitmask over that layer, bit p
-    being its p-th member. Only these arcs decide a propagation, so the
-    masks take O(n + m) bits."""
-    h = len(layers)
+    """For member j of layer i (layers list their members ascending, and
+    every arc goes from layer i to layer i+1 mod h), its out-neighbors as a
+    bitmask over layer i+1, bit p being that layer's p-th member. One
+    position list serves every layer; the masks take O(n + m) bits."""
+    pos = [0] * len(out_adj)
+    for layer in layers:
+        for p, v in enumerate(layer):
+            pos[v] = p
     steps = []
-    for i, layer in enumerate(layers):
-        pos = {w: p for p, w in enumerate(layers[(i + 1) % h])}
+    for layer in layers:
         row = []
         for v in layer:
             mask = 0
             for w in out_adj[v]:
-                if w in pos:
-                    mask |= 1 << pos[w]
+                mask |= 1 << pos[w]
             row.append(mask)
         steps.append(row)
     return steps
@@ -364,8 +362,8 @@ def propagate_layer_seed(
     valid set is exactly that layer minus the out-neighbors of layer k+t.
     A consistent wrap-around yields the unique independent dominating set
     whose layer-k slice equals the seed; it is verified before returning.
-    Raises ValueError unless the graph is strongly connected and every arc
-    goes from layer i to layer i+1 mod h.
+    Only ``h`` and ``layer_of`` are read. Raises ValueError unless the graph
+    is strongly connected and every arc goes from layer i to layer i+1 mod h.
     """
     seed_set = frozenset(seed)
     layer_of, h = layers.layer_of, layers.h
@@ -373,13 +371,15 @@ def propagate_layer_seed(
         raise ValueError("layers do not cover the graph's vertices")
     if not (0 <= k < h):
         raise ValueError(f"layer index {k} out of range for h={h}")
+    if h > graph.n:  # an empty layer; with arcs, the arc check would also catch it
+        raise ValueError(f"h={h} layers cannot all be nonempty with {graph.n} vertices")
     if any(layer_of[v] != (layer_of[u] + 1) % h for u, vs in enumerate(graph.out_adj) for v in vs):
         raise ValueError("an arc does not go from layer i to layer i+1 mod h")
     if not is_strongly_connected(graph):
         raise ValueError("graph is not strongly connected")
-    if not seed_set <= layers.layers[k]:
+    members = _buckets(layer_of, h)
+    if not seed_set.issubset(members[k]):
         raise ValueError("seed is not a subset of layer k")
-    members = [sorted(layer) for layer in layers.layers]
     seed_mask = sum(1 << j for j, v in enumerate(members[k]) if v in seed_set)
     walk, walked = _propagate(_step_masks(graph.out_adj, members), k, seed_mask)
     if walk is None:
@@ -402,8 +402,6 @@ def solve_strong_by_layers(graph: Digraph, budget: int | None = None) -> SolveOu
     """
     search = _Search(budget)  # rejects a negative budget on every path
     analysis = _analyze(graph)
-    if not analysis.strong:
-        raise ValueError("graph is not strongly connected")
     if analysis.strong_period() % 2 == 0:
         return _solve_even_period(graph, analysis, search)
     layers = analysis.layers

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import gcd
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .digraph import Digraph
 
@@ -150,6 +150,14 @@ def condensation(graph: Digraph) -> Condensation:
     return _condense(graph, sccs(graph))
 
 
+def _buckets(keys: Sequence[int], h: int) -> list[list[int]]:
+    """Vertex ``v`` in group ``keys[v] % h``; each group ascends."""
+    groups: list[list[int]] = [[] for _ in range(h)]
+    for v, key in enumerate(keys):
+        groups[key % h].append(v)
+    return groups
+
+
 class _Analysis:
     """One structure pass over a graph: the period of every component (0
     for a single vertex) and the BFS level of every vertex from its
@@ -181,19 +189,14 @@ class _Analysis:
 
     @property
     def strong(self) -> bool:
-        return len(self.scc.components) == 1
+        return len(self.periods) == 1  # one period per component
 
     @cached_property
     def layers(self) -> tuple[tuple[int, ...], ...]:
         """Of a strongly connected graph with an arc (else none): layer ``i``
         holds the vertices whose level is ``i`` mod the period, ascending."""
-        if len(self.periods) != 1 or not self.periods[0]:
-            return ()
-        h = self.periods[0]
-        buckets: list[list[int]] = [[] for _ in range(h)]
-        for v, lv in enumerate(self.level):
-            buckets[lv % h].append(v)
-        return tuple(map(tuple, buckets))
+        h = self.periods[0] if self.strong else 0
+        return tuple(map(tuple, _buckets(self.level, h))) if h else ()
 
     @cached_property
     def condensation(self) -> Condensation:

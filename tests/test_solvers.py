@@ -21,6 +21,7 @@ from idomlib import (
     Digraph,
     DhkSpec,
     InternalError,
+    LayerDecomposition,
     UndirectedGraph,
     brute_force_solve,
     cartesian_product,
@@ -45,6 +46,7 @@ from idomlib import (
     random_layered_strong,
     random_oriented_bipartite,
     sccs,
+    scc_period,
     solve_auto,
     solve_bipartite,
     solve_dag,
@@ -263,6 +265,25 @@ class TestPropagateLayerSeed:
         with pytest.raises(ValueError, match="not strongly connected"):
             propagate_layer_seed(gen_path(3), layer_decomposition(gen_cycle(3)), 0, {0})
 
+    # records whose ``layers`` disagree with ``layer_of``: the walk reads
+    # only ``h`` and ``layer_of``, the map the arc check validates
+    def test_seed_is_checked_against_layer_of(self):
+        record = LayerDecomposition(2, (0, 1, 0, 1), (frozenset({0, 1}), frozenset({2, 3})))
+        with pytest.raises(ValueError, match="seed is not a subset of layer k"):
+            propagate_layer_seed(gen_cycle(4), record, 0, {1})
+
+    def test_members_come_from_layer_of(self):
+        record = LayerDecomposition(2, (0, 1, 0, 1), (frozenset({0, 2}),))
+        result = propagate_layer_seed(gen_cycle(4), record, 1, {1, 3})
+        assert result.consistent and result.union == {1, 3}
+
+    def test_rejects_more_layers_than_vertices(self):
+        # only an arcless graph passes the arc check with h > n; no layer
+        # list is built for it
+        record = LayerDecomposition(10**12, (0,), ())
+        with pytest.raises(ValueError, match="cannot all be nonempty with 1 vertices"):
+            propagate_layer_seed(Digraph(1), record, 0, {0})
+
     def test_completeness_against_enumeration(self):
         # consistent propagations over all seeds = exactly the solution sets
         for g in strongly_connected_samples(25, max_n=10, seed_base=4200):
@@ -303,6 +324,10 @@ class TestSolveStrongByLayers:
     def test_rejects_non_strongly_connected(self):
         with pytest.raises(ValueError, match="not strongly connected"):
             solve_strong_by_layers(gen_path(3))
+
+    def test_rejects_empty_graph(self):
+        with pytest.raises(ValueError, match="empty graph has no period"):
+            solve_strong_by_layers(Digraph(0))
 
     def test_matches_exact_on_odd_period(self):
         # the seed search gives the direct scan's set and seed count, and the
@@ -912,6 +937,18 @@ class TestOneStructurePass:
             )
         for solve in (solve_auto, solve_dag):
             assert solve(graph).method == "dag-greedy"
+        assert calls == []
+
+    @pytest.mark.parametrize("solve", [solve_strong_by_layers, scc_period])
+    def test_refusing_a_path_computes_no_sccs(self, solve, monkeypatch):
+        calls = []
+        for name in ("sccs", "_tarjan"):
+            real = getattr(idomlib.structure, name)
+            monkeypatch.setattr(
+                idomlib.structure, name, lambda g, real=real: calls.append(g) or real(g)
+            )
+        with pytest.raises(ValueError, match="not strongly connected"):
+            solve(gen_path(50))
         assert calls == []
 
     @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import idomlib.structure
 from idomlib import (
     Digraph,
     DhkSpec,
@@ -431,3 +432,20 @@ def test_component_periods_match_the_oracle():
             if len(comp) == 1 and analysis.period:
                 assert analysis.level[comp[0]] == 0
     assert multi >= 40
+
+
+def test_strong_counts_periods_not_components(monkeypatch):
+    # one period per component, so the strong test needs no SCCs: an
+    # acyclic graph, which computes none, is refused without them
+    graphs = _component_period_corpus() + [Digraph(0), Digraph(1)]
+    graphs += [gen_path(n) for n in (2, 3, 10, 50)]
+    analyses = [_analyze(g) for g in graphs]
+    expected = [len(sccs(g).components) == 1 for g in graphs]
+
+    def unread(graph):
+        raise AssertionError("the strong test computed SCCs")
+
+    monkeypatch.setattr(idomlib.structure, "sccs", unread)
+    monkeypatch.setattr(idomlib.structure, "_tarjan", unread)
+    assert [analysis.strong for analysis in analyses] == expected
+    assert sum(expected) >= 40 and not all(expected)
